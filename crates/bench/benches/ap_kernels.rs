@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use distgnn_graph::{Dataset, ScaledConfig};
-use distgnn_kernels::legacy::aggregate_enum_dispatch;
 use distgnn_kernels::{aggregate, AggregationConfig, BinaryOp, ReduceOp, Schedule};
-use distgnn_tensor::init::random_features;
 use std::hint::black_box;
 
 fn bench_variants(c: &mut Criterion) {
@@ -49,54 +47,5 @@ fn bench_variants(c: &mut Criterion) {
     }
 }
 
-/// Enum-dispatch (seed) kernel vs the monomorphized production kernel:
-/// same blocking/schedule, the only difference is the per-edge operator
-/// `match` the mono path hoists out of the inner loops.
-fn bench_dispatch(c: &mut Criterion) {
-    let ds = Dataset::generate(&ScaledConfig::reddit_s().scaled_by(0.25));
-    let fe = random_features(ds.graph.num_edges(), ds.feat_dim(), 7);
-    let auto_nb = AggregationConfig::auto_blocks(ds.num_vertices(), ds.feat_dim(), 1 << 20);
-    let cases = [
-        ("copylhs_sum", BinaryOp::CopyLhs, ReduceOp::Sum, false),
-        ("mul_sum", BinaryOp::Mul, ReduceOp::Sum, true),
-        ("add_max", BinaryOp::Add, ReduceOp::Max, true),
-    ];
-    for (cfg_name, kcfg) in [
-        ("baseline", AggregationConfig::baseline()),
-        ("optimized", AggregationConfig::optimized(auto_nb)),
-    ] {
-        let mut group = c.benchmark_group(format!("dispatch/{}/{cfg_name}", ds.name));
-        group.sample_size(10);
-        for (case, op, red, needs_fe) in cases {
-            let efeat = needs_fe.then_some(&fe);
-            group.bench_function(BenchmarkId::new("enum", case), |b| {
-                b.iter(|| {
-                    black_box(aggregate_enum_dispatch(
-                        &ds.graph,
-                        black_box(&ds.features),
-                        efeat,
-                        op,
-                        red,
-                        &kcfg,
-                    ))
-                })
-            });
-            group.bench_function(BenchmarkId::new("mono", case), |b| {
-                b.iter(|| {
-                    black_box(aggregate(
-                        &ds.graph,
-                        black_box(&ds.features),
-                        efeat,
-                        op,
-                        red,
-                        &kcfg,
-                    ))
-                })
-            });
-        }
-        group.finish();
-    }
-}
-
-criterion_group!(benches, bench_variants, bench_dispatch);
+criterion_group!(benches, bench_variants);
 criterion_main!(benches);

@@ -42,26 +42,8 @@ fn main() {
     // DistGNN cd-5 on a small threaded cluster (the 16-socket analogue
     // at reproduction scale).
     let k = 8;
-    let dist_cfg = DistConfig {
-        model: model.clone(),
-        kernel: AggregationConfig::optimized(1),
-        mode: DistMode::CdR { delay: 5 },
-        num_parts: k,
-        lr: 0.01,
-        weight_decay: 5e-4,
-        epochs: epochs.max(12),
-        seed: 0xD157,
-        wire_precision: distgnn_core::dist::WirePrecision::Fp32,
-        faults: distgnn_comm::FaultPlan::none(),
-        retry: distgnn_comm::RetryPolicy::standard(),
-        checkpoint_every: 0,
-        checkpoint_dir: None,
-        overlap: None,
-        codec: distgnn_comm::WireCodec::None,
-        grad_codec: None,
-        error_feedback: true,
-        lossy_checkpoints: false,
-    };
+    let mut dist_cfg = DistConfig::new(&ds, DistMode::CdR { delay: 5 }, k, epochs.max(12));
+    dist_cfg.model = model.clone();
     let dist = DistTrainer::run(&ds, &dist_cfg);
 
     // Dist-DGL-style distributed mini-batch at the same rank count.

@@ -4,7 +4,6 @@
 //! small and stable. Split from `main.rs` so the parser is unit-tested.
 
 use distgnn_comm::{FaultPlan, ProgressMode, RetryPolicy, WireCodec};
-use distgnn_core::dist::WirePrecision;
 use distgnn_core::DistMode;
 use distgnn_graph::ScaledConfig;
 
@@ -18,7 +17,6 @@ pub struct Cli {
     pub sockets: usize,
     pub mode: DistMode,
     pub lr: f32,
-    pub wire: WirePrecision,
     pub blocks: Option<usize>,
     pub seed: u64,
     /// Fault-injection scenario for `dist-train` chaos replays.
@@ -88,7 +86,6 @@ impl Default for Cli {
             sockets: 4,
             mode: DistMode::CdR { delay: 5 },
             lr: 0.01,
-            wire: WirePrecision::Fp32,
             blocks: None,
             seed: 0xD15,
             faults: FaultPlan::none(),
@@ -170,7 +167,6 @@ OPTIONS:
     --mode <0c|cd-0|cd-R>  distributed algorithm      (default cd-5)
     --algo <...>         alias for --mode; `cd-r` = cd-5
     --lr <f32>           learning rate                (default 0.01)
-    --wire <fp32|bf16|fp16>  aggregate wire format    (default fp32)
     --blocks <usize>     kernel cache blocks n_B      (default auto)
     --seed <u64>         partitioning seed            (default 0xD15)
     --faults <spec>      fault-injection scenario     (default none)
@@ -181,11 +177,10 @@ OPTIONS:
     --compress <none|bf16|topk=K|int8>  wire codec for compressed comm:
                          gradient AllReduces go through error-feedback
                          compression, DRPA exchanges ship delta-encoded
-                         payloads (default none = exact paths; excludes
-                         --wire bf16/fp16). topk applies to the DRPA
-                         streams; the sum-reduced gradient stream derives
-                         int8 under topk (sparse spikes destabilize
-                         Adam's second moment)
+                         payloads (default none = exact paths). topk
+                         applies to the DRPA streams; the sum-reduced
+                         gradient stream derives int8 under topk (sparse
+                         spikes destabilize Adam's second moment)
     --compress-grads <none|bf16|topk=K|int8>  force the gradient-stream
                          codec instead of deriving it from --compress
     --no-error-feedback  drop each epoch's compression error instead of
@@ -285,26 +280,8 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             "--queries" => cli.queries = parse_num(flag, value()?)?,
             "--batch" => cli.batch = parse_num(flag, value()?)?,
             "--deltas" => cli.deltas = parse_num(flag, value()?)?,
-            "--wire" => {
-                cli.wire = match value()?.as_str() {
-                    "fp32" => WirePrecision::Fp32,
-                    "bf16" => WirePrecision::Bf16,
-                    "fp16" => WirePrecision::Fp16,
-                    w => return Err(format!("unknown wire format `{w}`")),
-                }
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    // A codec supersedes the legacy aggregate wire format; stacking
-    // both would quantize clone-sync payloads twice.
-    let grads_lossy = cli.compress_grads.is_some_and(|c| !c.is_identity());
-    if (!cli.compress.is_identity() || grads_lossy) && cli.wire != WirePrecision::Fp32 {
-        return Err(format!(
-            "`--compress {}` conflicts with `--wire {}`: pick one wire encoding",
-            cli.compress.name(),
-            cli.wire.name()
-        ));
     }
     Ok(cli)
 }
@@ -353,7 +330,7 @@ mod tests {
     fn parses_full_command_line() {
         let cli = parse(&argv(
             "dist-train --dataset proteins --scale 0.5 --epochs 10 --sockets 8 \
-             --mode cd-3 --lr 0.05 --wire bf16 --blocks 4 --seed 7",
+             --mode cd-3 --lr 0.05 --compress bf16 --blocks 4 --seed 7",
         ))
         .unwrap();
         assert_eq!(cli.command, Command::DistTrain);
@@ -363,7 +340,7 @@ mod tests {
         assert_eq!(cli.sockets, 8);
         assert_eq!(cli.mode, DistMode::CdR { delay: 3 });
         assert_eq!(cli.lr, 0.05);
-        assert_eq!(cli.wire, WirePrecision::Bf16);
+        assert_eq!(cli.compress, WireCodec::Bf16);
         assert_eq!(cli.blocks, Some(4));
         assert_eq!(cli.seed, 7);
     }
@@ -387,7 +364,6 @@ mod tests {
         assert!(parse(&argv("train --what 3")).is_err());
         assert!(parse(&argv("train --epochs nope")).is_err());
         assert!(parse(&argv("train --epochs")).is_err());
-        assert!(parse(&argv("train --wire int8")).is_err());
     }
 
     #[test]
@@ -518,19 +494,10 @@ mod tests {
             Some(WireCodec::TopK { percent: 5 })
         );
         assert!(parse(&argv("dist-train --compress-grads gzip")).is_err());
-        // A lossy gradient codec conflicts with the legacy wire formats
-        // even when --compress itself is identity.
-        assert!(parse(&argv("dist-train --compress-grads int8 --wire bf16")).is_err());
-        assert!(parse(&argv("dist-train --compress-grads none --wire bf16")).is_ok());
     }
 
     #[test]
-    fn compress_excludes_legacy_wire_formats() {
-        assert!(parse(&argv("dist-train --compress int8 --wire bf16")).is_err());
-        assert!(parse(&argv("dist-train --wire fp16 --compress topk=5")).is_err());
-        // fp32 wire (the default, or explicit) is fine alongside a codec.
-        assert!(parse(&argv("dist-train --compress int8 --wire fp32")).is_ok());
-        assert!(parse(&argv("dist-train --compress none --wire bf16")).is_ok());
+    fn compression_switches_parse() {
         let cli = parse(&argv("dist-train --compress bf16 --no-error-feedback")).unwrap();
         assert!(cli.no_error_feedback);
         assert!(parse(&argv("dist-train --lossy-checkpoints")).unwrap().lossy_checkpoints);

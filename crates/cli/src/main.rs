@@ -80,7 +80,6 @@ fn dist_train(cli: &Cli) {
     let mut cfg = DistConfig::new(&ds, cli.mode, cli.sockets, cli.epochs);
     cfg.lr = cli.lr;
     cfg.kernel = kernel(cli, &ds);
-    cfg.wire_precision = cli.wire;
     cfg.seed = cli.seed;
     cfg.faults = cli.faults.clone();
     cfg.retry = cli.retry_policy();
@@ -94,10 +93,9 @@ fn dist_train(cli: &Cli) {
     cfg.elastic_resume = cli.elastic_resume;
     cfg.adopt_on_crash = cli.adopt_on_crash;
     println!(
-        "mode {}, {} sockets, wire {}, compress {}{}",
+        "mode {}, {} sockets, compress {}{}",
         cli.mode.name(),
         cli.sockets,
-        cli.wire.name(),
         cli.compress.name(),
         if cli.faults.is_none() { "" } else { ", fault injection ON" }
     );

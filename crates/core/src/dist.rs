@@ -47,27 +47,6 @@ pub enum DistMode {
     CdR { delay: usize },
 }
 
-/// Wire format for partial-aggregate communication. The paper's
-/// conclusion proposes FP16/BF16 to halve communication volume; both
-/// are implemented (compute stays in f32, only payloads are packed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WirePrecision {
-    #[default]
-    Fp32,
-    Bf16,
-    Fp16,
-}
-
-impl WirePrecision {
-    pub fn name(&self) -> &'static str {
-        match self {
-            WirePrecision::Fp32 => "fp32",
-            WirePrecision::Bf16 => "bf16",
-            WirePrecision::Fp16 => "fp16",
-        }
-    }
-}
-
 impl DistMode {
     /// Paper-style display name (`0c`, `cd-0`, `cd-5`).
     pub fn name(&self) -> String {
@@ -91,8 +70,6 @@ pub struct DistConfig {
     pub epochs: usize,
     /// Seed for clone-tree root selection.
     pub seed: u64,
-    /// Wire format for clone-sync payloads.
-    pub wire_precision: WirePrecision,
     /// Fault-injection scenario for chaos runs ([`FaultPlan::none`]
     /// outside of them).
     pub faults: FaultPlan,
@@ -170,7 +147,6 @@ impl DistConfig {
             weight_decay: 5e-4,
             epochs,
             seed: 0xD157,
-            wire_precision: WirePrecision::Fp32,
             faults: FaultPlan::none(),
             retry: RetryPolicy::standard(),
             checkpoint_every: 0,
@@ -474,7 +450,6 @@ impl DistTrainer {
                 ..AdamConfig::with_lr(config.lr)
             });
             let mut agg = RankAggregator::new(ctx, pg, config.mode, config.kernel)
-                .with_wire_precision(config.wire_precision)
                 .with_retry_policy(config.retry)
                 .with_overlap(config.overlap.is_some())
                 .with_codec(config.codec);
@@ -1470,46 +1445,6 @@ mod tests {
         for (d, s) in dist.epochs.iter().zip(&single.epochs) {
             assert!((d.loss - s.loss).abs() < 2e-3, "losses {} vs {}", d.loss, s.loss);
         }
-    }
-
-    #[test]
-    fn bf16_wire_halves_clone_traffic_and_preserves_learning() {
-        let ds = tiny();
-        let mut cfg32 = cfg(&ds, DistMode::Cd0, 3, 20);
-        let mut cfg16 = cfg32.clone();
-        cfg32.wire_precision = WirePrecision::Fp32;
-        cfg16.wire_precision = WirePrecision::Bf16;
-        let r32 = DistTrainer::run(&ds, &cfg32);
-        let r16 = DistTrainer::run(&ds, &cfg16);
-        let sent32: u64 = r32.per_rank_comm.iter().map(|s| s.bytes_sent).sum();
-        let sent16: u64 = r16.per_rank_comm.iter().map(|s| s.bytes_sent).sum();
-        // Gradient AllReduce stays fp32, so total traffic shrinks but
-        // not fully by half; the clone-sync component halves.
-        assert!(sent16 < sent32, "bf16 {sent16} vs fp32 {sent32}");
-        assert!(
-            (r16.test_accuracy - r32.test_accuracy).abs() < 0.05,
-            "bf16 {} vs fp32 {}",
-            r16.test_accuracy,
-            r32.test_accuracy
-        );
-    }
-
-    #[test]
-    fn fp16_wire_trains_and_replicas_agree() {
-        let ds = tiny();
-        let mut c = cfg(&ds, DistMode::CdR { delay: 2 }, 3, 8);
-        c.wire_precision = WirePrecision::Fp16;
-        let r = DistTrainer::run(&ds, &c);
-        assert!(r.epochs.iter().all(|e| e.loss.is_finite()));
-        assert_eq!(r.final_params[0], r.final_params[1]);
-    }
-
-    #[test]
-    fn precision_names() {
-        assert_eq!(WirePrecision::Fp32.name(), "fp32");
-        assert_eq!(WirePrecision::Bf16.name(), "bf16");
-        assert_eq!(WirePrecision::Fp16.name(), "fp16");
-        assert_eq!(WirePrecision::default(), WirePrecision::Fp32);
     }
 
     #[test]

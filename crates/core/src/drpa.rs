@@ -27,7 +27,7 @@
 //! absent under `0c` — which is what lets `cd-0` training match
 //! single-socket training closely (Table 5).
 
-use crate::dist::{DistMode, WirePrecision};
+use crate::dist::DistMode;
 use crate::model::Aggregator;
 use distgnn_comm::{CommError, RankCtx, RetryPolicy, WireCodec};
 use distgnn_io::{DrpaState, RouteCacheState};
@@ -234,7 +234,6 @@ pub struct RankAggregator<'a, 'b> {
     binned_out: Vec<BinnedRoute>,
     binned_in: Vec<BinnedRoute>,
     fwd_state: CdrState,
-    precision: WirePrecision,
     codec: WireCodec,
     codec_state: CodecState,
     retry: RetryPolicy,
@@ -282,7 +281,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
             binned_out,
             binned_in,
             fwd_state: CdrState::default(),
-            precision: WirePrecision::Fp32,
             codec: WireCodec::None,
             codec_state: CodecState::default(),
             retry: RetryPolicy::standard(),
@@ -295,21 +293,13 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
         }
     }
 
-    /// Selects the wire format for clone-sync payloads (the paper's
-    /// BF16/FP16 future-work extension).
-    pub fn with_wire_precision(mut self, precision: WirePrecision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Selects a [`WireCodec`] for the clone-sync payloads. A non-
-    /// identity codec supersedes [`RankAggregator::with_wire_precision`]
-    /// and switches the exchanges to *delta encoding* against mirrored
-    /// receiver state (see [`CodecState`]). Under a fault plan with
-    /// message-level faults, cd-r bin refreshes fall back to the
-    /// uncompressed wire: a silently dropped delta would permanently
-    /// desynchronize the mirrors (the cd-0 collectives deliver-or-abort,
-    /// so they keep the codec even under faults).
+    /// identity codec switches the exchanges to *delta encoding*
+    /// against mirrored receiver state (see [`CodecState`]). Under a
+    /// fault plan with message-level faults, cd-r bin refreshes fall
+    /// back to the uncompressed wire: a silently dropped delta would
+    /// permanently desynchronize the mirrors (the cd-0 collectives
+    /// deliver-or-abort, so they keep the codec even under faults).
     pub fn with_codec(mut self, codec: WireCodec) -> Self {
         self.codec = codec;
         self
@@ -422,15 +412,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
         )
     }
 
-    fn topo(&self) -> SyncTopo<'_> {
-        SyncTopo {
-            routes_out: &self.routes_out,
-            routes_in: &self.routes_in,
-            binned_out: &self.binned_out,
-            binned_in: &self.binned_in,
-        }
-    }
-
     /// Mode dispatch for one sync of `m` (aggregates or gradients).
     ///
     /// Gradients (`BWD_PHASES`) are only synchronized under `cd-0`:
@@ -446,41 +427,30 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
             return;
         }
         let backward = phases == BWD_PHASES;
+        let topo = SyncTopo {
+            routes_out: &self.routes_out,
+            routes_in: &self.routes_in,
+            binned_out: &self.binned_out,
+            binned_in: &self.binned_in,
+        };
         match self.mode {
             DistMode::Oc => {}
             DistMode::Cd0 | DistMode::CdR { delay: 0 } => {
-                self.error = if self.codec.is_identity() {
-                    sync_blocking(self.ctx, &self.topo(), m, self.precision, &self.retry, self.overlap)
-                        .err()
-                } else {
-                    let topo = SyncTopo {
-                        routes_out: &self.routes_out,
-                        routes_in: &self.routes_in,
-                        binned_out: &self.binned_out,
-                        binned_in: &self.binned_in,
-                    };
-                    sync_blocking_delta(
-                        self.ctx,
-                        &topo,
-                        &mut self.codec_state,
-                        m,
-                        layer,
-                        phases,
-                        &self.codec,
-                        &self.retry,
-                        self.overlap,
-                    )
-                    .err()
-                };
+                self.error = sync_blocking(
+                    self.ctx,
+                    &topo,
+                    &mut self.codec_state,
+                    m,
+                    layer,
+                    phases,
+                    &self.codec,
+                    &self.retry,
+                    self.overlap,
+                )
+                .err();
             }
             DistMode::CdR { delay } => {
                 if !backward {
-                    let topo = SyncTopo {
-                        routes_out: &self.routes_out,
-                        routes_in: &self.routes_in,
-                        binned_out: &self.binned_out,
-                        binned_in: &self.binned_in,
-                    };
                     // A silently dropped/held tagged delta would
                     // permanently desynchronize the mirrors, so
                     // message-level fault plans disable the codec for
@@ -502,7 +472,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
                         self.epoch,
                         delay,
                         phases,
-                        self.precision,
                         &codec,
                     );
                 }
@@ -567,64 +536,22 @@ impl Aggregator for RankAggregator<'_, '_> {
 }
 
 /// Synchronous reduce-broadcast over the clone trees (cd-0), for
-/// aggregates and gradients alike. Transient delivery faults are
-/// absorbed by `retry` (bounded barrier-stepped backoff); once the
-/// policy is exhausted, a missing peer payload aborts the sync on
-/// *every* rank (the AlltoAllv error is collective), leaving `m`
-/// partially updated — callers must treat `Err` as fatal for the
-/// epoch.
-fn sync_blocking(
-    ctx: &RankCtx<'_>,
-    topo: &SyncTopo<'_>,
-    m: &mut Matrix,
-    prec: WirePrecision,
-    retry: &RetryPolicy,
-    overlap: bool,
-) -> Result<(), CommError> {
-    let exchange = |outgoing: Vec<Vec<f32>>| -> Result<Vec<Vec<f32>>, CommError> {
-        if overlap {
-            let handle = ctx.all_to_all_v_async(outgoing, retry);
-            ctx.all_to_all_v_wait(handle)
-        } else {
-            ctx.all_to_all_v_retry(outgoing, retry)
-        }
-    };
-    let k = ctx.size();
-    let d = m.cols();
-    // Phase 1: leaves -> roots.
-    let outgoing: Vec<Vec<f32>> = (0..k)
-        .map(|p| encode(prec, gather_rows(m, &topo.routes_out[p].leaf_locals, d)))
-        .collect();
-    let incoming = exchange(outgoing)?;
-    for (q, payload) in incoming.iter().enumerate() {
-        let len = topo.routes_in[q].root_locals.len() * d;
-        let payload = decode(prec, payload, len);
-        scatter_reduce(m, &topo.routes_in[q].root_locals, &payload, d);
-    }
-    // Phase 2: roots -> leaves (totals).
-    let outgoing: Vec<Vec<f32>> = (0..k)
-        .map(|q| encode(prec, gather_rows(m, &topo.routes_in[q].root_locals, d)))
-        .collect();
-    let incoming = exchange(outgoing)?;
-    for (p, payload) in incoming.iter().enumerate() {
-        let len = topo.routes_out[p].leaf_locals.len() * d;
-        let payload = decode(prec, payload, len);
-        scatter_overwrite(m, &topo.routes_out[p].leaf_locals, &payload, d);
-    }
-    Ok(())
-}
-
-/// Delta-compressed cd-0 sync: ships `enc(current − mirror)` per
-/// route and phase instead of absolute rows. Sender mirrors and
-/// receiver accumulators advance by the same decoded delta in the same
-/// order, so they stay bit-identical forever and the lossy remainder
-/// of each delta reappears in the next epoch's delta (self-correcting;
-/// see [`CodecState`]). The collectives deliver-or-abort even under
-/// fault plans, so no silent delta loss can desynchronize the mirrors;
-/// an aborted epoch is abandoned wholesale and resumes from a
-/// checkpoint that carries the mirrors.
+/// aggregates and gradients alike: leaves send partial sums to roots,
+/// roots reduce and send the totals back. Each route's payload goes
+/// through [`send_rows`] / [`recv_rows`], so the identity codec ships
+/// raw rows and any other codec ships deltas against the route
+/// mirrors.
+///
+/// Transient delivery faults are absorbed by `retry` (bounded
+/// barrier-stepped backoff); once the policy is exhausted, a missing
+/// peer payload aborts the sync on *every* rank (the AlltoAllv error is
+/// collective), leaving `m` partially updated — callers must treat
+/// `Err` as fatal for the epoch. Because the collectives
+/// deliver-or-abort, no silent delta loss can desynchronize the
+/// mirrors; an aborted epoch is abandoned wholesale and resumes from a
+/// checkpoint that carries them.
 #[allow(clippy::too_many_arguments)]
-fn sync_blocking_delta(
+fn sync_blocking(
     ctx: &RankCtx<'_>,
     topo: &SyncTopo<'_>,
     state: &mut CodecState,
@@ -644,53 +571,80 @@ fn sync_blocking_delta(
         }
     };
     let k = ctx.size();
-    let me = ctx.rank();
     let d = m.cols();
-    // Phase 1: leaves -> roots (partial sums, delta-encoded).
+    // Phase 1: leaves -> roots (partial sums).
     let outgoing: Vec<Vec<f32>> = (0..k)
         .map(|p| {
             let rows = gather_rows(m, &topo.routes_out[p].leaf_locals, d);
-            let mirror = state.sent_slot(phases.0, layer, p, rows.len());
-            let wire = delta_encode(codec, &rows, mirror);
-            if p != me {
-                ctx.note_coded_sent((wire.len() * 4) as u64, (rows.len() * 4) as u64);
-            }
-            wire
+            send_rows(ctx, codec, state, (phases.0, layer, p), rows)
         })
         .collect();
     let incoming = exchange(outgoing)?;
     for (q, payload) in incoming.iter().enumerate() {
-        let len = topo.routes_in[q].root_locals.len() * d;
-        let acc = state.recv_slot(phases.0, layer, q, len);
-        delta_apply(codec, payload, acc);
-        if q != me {
-            ctx.note_coded_received((payload.len() * 4) as u64, (len * 4) as u64);
-        }
-        scatter_reduce(m, &topo.routes_in[q].root_locals, acc, d);
+        let locals = &topo.routes_in[q].root_locals;
+        let rows = recv_rows(ctx, codec, state, (phases.0, layer, q), payload, locals.len() * d);
+        scatter_reduce(m, locals, rows, d);
     }
-    // Phase 2: roots -> leaves (totals, delta-encoded).
+    // Phase 2: roots -> leaves (totals).
     let outgoing: Vec<Vec<f32>> = (0..k)
         .map(|q| {
             let rows = gather_rows(m, &topo.routes_in[q].root_locals, d);
-            let mirror = state.sent_slot(phases.1, layer, q, rows.len());
-            let wire = delta_encode(codec, &rows, mirror);
-            if q != me {
-                ctx.note_coded_sent((wire.len() * 4) as u64, (rows.len() * 4) as u64);
-            }
-            wire
+            send_rows(ctx, codec, state, (phases.1, layer, q), rows)
         })
         .collect();
     let incoming = exchange(outgoing)?;
     for (p, payload) in incoming.iter().enumerate() {
-        let len = topo.routes_out[p].leaf_locals.len() * d;
-        let acc = state.recv_slot(phases.1, layer, p, len);
-        delta_apply(codec, payload, acc);
-        if p != me {
-            ctx.note_coded_received((payload.len() * 4) as u64, (len * 4) as u64);
-        }
-        scatter_overwrite(m, &topo.routes_out[p].leaf_locals, acc, d);
+        let locals = &topo.routes_out[p].leaf_locals;
+        let rows = recv_rows(ctx, codec, state, (phases.1, layer, p), payload, locals.len() * d);
+        scatter_overwrite(m, locals, rows, d);
     }
     Ok(())
+}
+
+/// A cd-0 route's `(phase, layer, peer)` key into [`CodecState`].
+type RouteKey = (u64, usize, usize);
+
+/// Wire payload for one route's gathered `rows`: the rows themselves
+/// under the identity codec, else `enc(rows − mirror)` with the
+/// route's sender mirror advanced (see [`delta_encode`]).
+fn send_rows(
+    ctx: &RankCtx<'_>,
+    codec: &WireCodec,
+    state: &mut CodecState,
+    (phase, layer, peer): RouteKey,
+    rows: Vec<f32>,
+) -> Vec<f32> {
+    if codec.is_identity() {
+        return rows;
+    }
+    let mirror = state.sent_slot(phase, layer, peer, rows.len());
+    let wire = delta_encode(codec, &rows, mirror);
+    if peer != ctx.rank() {
+        ctx.note_coded_sent((wire.len() * 4) as u64, (rows.len() * 4) as u64);
+    }
+    wire
+}
+
+/// The `len` absolute rows one route's received `payload` stands for:
+/// the payload itself under the identity codec, else the route's
+/// receiver accumulator advanced by the decoded delta.
+fn recv_rows<'s>(
+    ctx: &RankCtx<'_>,
+    codec: &WireCodec,
+    state: &'s mut CodecState,
+    (phase, layer, peer): RouteKey,
+    payload: &'s [f32],
+    len: usize,
+) -> &'s [f32] {
+    if codec.is_identity() {
+        return payload;
+    }
+    let acc = state.recv_slot(phase, layer, peer, len);
+    delta_apply(codec, payload, acc);
+    if peer != ctx.rank() {
+        ctx.note_coded_received((payload.len() * 4) as u64, (len * 4) as u64);
+    }
+    acc
 }
 
 /// Sender half of the delta scheme: returns `enc(current − mirror)`
@@ -747,26 +701,6 @@ fn delta_encode_rows(
     wire
 }
 
-/// Packs a payload into the configured wire format.
-fn encode(prec: WirePrecision, data: Vec<f32>) -> Vec<f32> {
-    use distgnn_tensor::half::{f32_to_bf16, f32_to_f16, pack_half};
-    match prec {
-        WirePrecision::Fp32 => data,
-        WirePrecision::Bf16 => pack_half(&data, f32_to_bf16),
-        WirePrecision::Fp16 => pack_half(&data, f32_to_f16),
-    }
-}
-
-/// Unpacks a payload; `len` is the pre-encoding element count.
-fn decode(prec: WirePrecision, data: &[f32], len: usize) -> Vec<f32> {
-    use distgnn_tensor::half::{bf16_to_f32, f16_to_f32, unpack_half};
-    match prec {
-        WirePrecision::Fp32 => data.to_vec(),
-        WirePrecision::Bf16 => unpack_half(data, len, bf16_to_f32),
-        WirePrecision::Fp16 => unpack_half(data, len, f16_to_f32),
-    }
-}
-
 /// Asynchronous, binned, delayed sync (cd-r), Alg. 4 lines 9–21, with
 /// per-layer caches so every epoch applies all bins' latest (stale)
 /// remote contributions.
@@ -781,7 +715,6 @@ fn sync_delayed(
     epoch: u64,
     delay: usize,
     phases: (u64, u64),
-    prec: WirePrecision,
     codec: &WireCodec,
 ) {
     let k = ctx.size();
@@ -804,7 +737,7 @@ fn sync_delayed(
         let locals = select(&topo.routes_out[p].leaf_locals, idx);
         let rows = gather_rows(m, &locals, d);
         let payload = if codec.is_identity() {
-            encode(prec, rows)
+            rows
         } else {
             let logical = rows.len();
             let mirror =
@@ -834,7 +767,6 @@ fn sync_delayed(
             // what makes the miss observable.
             if let Some(payload) = ctx.try_recv_tagged(q, tag(phases.0, layer, e_src)) {
                 if codec.is_identity() {
-                    let payload = decode(prec, &payload, idx.len() * d);
                     state.root[layer][q].store_bin(idx, &payload, d, b, epoch);
                 } else {
                     let delta = codec.decode(&payload, idx.len() * d);
@@ -869,7 +801,7 @@ fn sync_delayed(
             let locals = select(&topo.routes_in[q].root_locals, idx);
             let rows = gather_rows(m, &locals, d);
             let back = if codec.is_identity() {
-                encode(prec, rows)
+                rows
             } else {
                 let logical = rows.len();
                 let mirror =
@@ -896,7 +828,6 @@ fn sync_delayed(
             }
             if let Some(payload) = ctx.try_recv_tagged(p, tag(phases.1, layer, e_src)) {
                 if codec.is_identity() {
-                    let payload = decode(prec, &payload, idx.len() * d);
                     state.leaf[layer][p].store_bin(idx, &payload, d, b, epoch);
                 } else {
                     let delta = codec.decode(&payload, idx.len() * d);

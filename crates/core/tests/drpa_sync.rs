@@ -6,10 +6,12 @@
 use distgnn_core::drpa::RankAggregator;
 use distgnn_core::model::Aggregator;
 use distgnn_core::DistMode;
-use distgnn_comm::Cluster;
+use distgnn_comm::{Cluster, WireCodec};
+use distgnn_graph::generators::erdos_renyi;
 use distgnn_graph::EdgeList;
 use distgnn_kernels::AggregationConfig;
 use distgnn_partition::{libra_partition, PartitionedGraph};
+use distgnn_tensor::init::random_features;
 use distgnn_tensor::Matrix;
 
 /// A 4-vertex graph engineered so vertex 0 is split across both
@@ -150,4 +152,41 @@ fn backward_sync_only_in_cd0() {
         0,
         "cd-r keeps its backward clone-local"
     );
+}
+
+/// The identity codec ships raw rows: after a cd-0 sync every clone of
+/// a split vertex holds the root's total bit for bit, epoch after
+/// epoch. Accumulating the rows through delta mirrors instead would
+/// break this from the second epoch on, since `M + (R - M)` need not
+/// round back to `R` in f32.
+#[test]
+fn cd0_identity_codec_replicas_are_bit_identical_across_epochs() {
+    let el = erdos_renyi(120, 900, 5);
+    let pg = PartitionedGraph::build(&el, &libra_partition(&el, 2), 7);
+    assert!(!pg.split_vertices.is_empty(), "setup must split vertices");
+    let d = 32;
+    let epochs = 3;
+    let outs = Cluster::run(2, |ctx| {
+        let part = &pg.parts[ctx.rank()];
+        let mut agg = RankAggregator::new(ctx, &pg, DistMode::Cd0, AggregationConfig::baseline())
+            .with_codec(WireCodec::None);
+        (0..epochs)
+            .map(|e| {
+                let base = random_features(el.num_vertices(), d, 40 + e);
+                let rows: Vec<usize> = part.global_ids.iter().map(|&g| g as usize).collect();
+                let h = base.gather_rows(&rows);
+                agg.set_epoch(e);
+                agg.forward(0, &h)
+            })
+            .collect::<Vec<Matrix>>()
+    });
+    assert!(outs.iter().all(|o| o.len() == epochs as usize));
+    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for &g in &pg.split_vertices {
+        let local = |r: usize| pg.parts[r].local_of(g).expect("a split vertex is on both ranks");
+        let (l0, l1) = (local(0) as usize, local(1) as usize);
+        for (e, (a, b)) in outs[0].iter().zip(&outs[1]).enumerate() {
+            assert_eq!(bits(a.row(l0)), bits(b.row(l1)), "epoch {e}, vertex {g}");
+        }
+    }
 }

@@ -30,7 +30,7 @@ use crate::atomic::{atomic_write, crc32};
 use crate::matrix::{load_matrix, save_matrix};
 use crate::{corrupt_err, format_err, IoError};
 use distgnn_nn::AdamState;
-use distgnn_tensor::half::{bf16_to_f32, f32_to_bf16};
+use distgnn_tensor::half::{f32_from_bf16, f32_to_bf16};
 use distgnn_tensor::Matrix;
 use std::path::{Path, PathBuf};
 
@@ -203,7 +203,7 @@ impl<'a> Reader<'a> {
         let bytes = self.take(n * 2)?;
         Ok(bytes
             .chunks_exact(2)
-            .map(|c| bf16_to_f32(u16::from_le_bytes([c[0], c[1]])))
+            .map(|c| f32_from_bf16(u16::from_le_bytes([c[0], c[1]])))
             .collect())
     }
 

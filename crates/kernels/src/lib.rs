@@ -29,7 +29,6 @@ pub mod cost;
 pub mod edge_softmax;
 pub mod gcn;
 pub mod instrumented;
-pub mod legacy;
 pub mod mono;
 pub mod ops;
 pub mod prepared;

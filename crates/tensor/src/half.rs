@@ -1,9 +1,9 @@
-//! Half-precision (bfloat16 / IEEE fp16) conversions.
+//! bfloat16 conversions.
 //!
-//! DistGNN's conclusion names FP16/BFLOAT16 communication as future
-//! work for cutting the partial-aggregate volume in half; the
-//! distributed trainer implements that here. Only conversions are
-//! needed — arithmetic stays in f32, the wire format is 16-bit.
+//! DistGNN's conclusion names BFLOAT16 communication as future work
+//! for cutting the partial-aggregate volume in half; the `bf16` wire
+//! codec and lossy checkpoints build on these conversions. Arithmetic
+//! stays in f32, only the stored/shipped format is 16-bit.
 
 /// f32 → bfloat16 (round-to-nearest-even), as raw bits.
 #[inline]
@@ -21,81 +21,15 @@ pub fn f32_to_bf16(x: f32) -> u16 {
 
 /// bfloat16 bits → f32.
 #[inline]
-pub fn bf16_to_f32(x: u16) -> f32 {
+pub fn f32_from_bf16(x: u16) -> f32 {
     f32::from_bits((x as u32) << 16)
-}
-
-/// f32 → IEEE 754 half (round-to-nearest-even), as raw bits.
-#[inline]
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let mant = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        // Inf / NaN.
-        let m = if mant != 0 { 0x0200 } else { 0 };
-        return sign | 0x7C00 | m;
-    }
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7C00; // overflow -> inf
-    }
-    if unbiased >= -14 {
-        // Normal half.
-        let half_exp = ((unbiased + 15) as u32) << 10;
-        let half_mant = mant >> 13;
-        let round = (mant >> 12) & 1;
-        let sticky = u32::from(mant & 0x0FFF != 0);
-        let mut h = half_exp | half_mant;
-        if round == 1 && (sticky == 1 || half_mant & 1 == 1) {
-            h += 1;
-        }
-        return sign | h as u16;
-    }
-    if unbiased >= -24 {
-        // Subnormal half: M = round(x * 2^24) = F >> (-unbiased - 1),
-        // where F is the 24-bit significand with the implicit bit.
-        let shift = (-unbiased - 1) as u32; // 14..=23
-        let full_mant = mant | 0x0080_0000;
-        let half_mant = full_mant >> shift;
-        let round = (full_mant >> (shift - 1)) & 1;
-        let mut h = half_mant;
-        if round == 1 {
-            h += 1;
-        }
-        return sign | h as u16;
-    }
-    sign // underflow to zero
-}
-
-/// IEEE 754 half bits → f32.
-#[inline]
-pub fn f16_to_f32(x: u16) -> f32 {
-    let sign = ((x & 0x8000) as u32) << 16;
-    let exp = ((x >> 10) & 0x1F) as u32;
-    let mant = (x & 0x03FF) as u32;
-    let bits = match (exp, mant) {
-        (0, 0) => sign,
-        (0, m) => {
-            // Subnormal: value = m * 2^-24; normalize around the
-            // most-significant set bit p.
-            let p = 31 - m.leading_zeros();
-            let exp_f = 127 + p - 24;
-            let mant_f = (m << (23 - p)) & 0x007F_FFFF;
-            sign | (exp_f << 23) | mant_f
-        }
-        (0x1F, 0) => sign | 0x7F80_0000,
-        (0x1F, m) => sign | 0x7F80_0000 | (m << 13) | 0x0040_0000,
-        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
-    };
-    f32::from_bits(bits)
 }
 
 /// Packs a f32 slice into half as many f32s, two 16-bit values per
 /// word, using `enc`. The payload stays `Vec<f32>` so it travels over
 /// the existing collectives while genuinely halving the byte volume.
+/// This scalar form is the reference the chunked slice codecs below
+/// are tested against.
 pub fn pack_half(src: &[f32], enc: impl Fn(f32) -> u16) -> Vec<f32> {
     let mut out = Vec::with_capacity(src.len().div_ceil(2));
     let mut iter = src.chunks_exact(2);
@@ -153,7 +87,7 @@ pub fn bf16_encode_slice_into(src: &[f32], out: &mut Vec<f32>) {
 
 /// Chunked slice inverse of [`bf16_encode_slice_into`]; decodes into a
 /// caller-owned slice whose length is the original element count.
-/// Bit-identical to the scalar `unpack_half(packed, len, bf16_to_f32)`
+/// Bit-identical to the scalar `unpack_half(packed, len, f32_from_bf16)`
 /// path.
 pub fn bf16_decode_slice_into(packed: &[f32], out: &mut [f32]) {
     assert_eq!(packed.len(), out.len().div_ceil(2), "packed length mismatch");
@@ -162,12 +96,12 @@ pub fn bf16_decode_slice_into(packed: &[f32], out: &mut [f32]) {
         let mut pairs = chunk.chunks_exact_mut(2);
         for pair in &mut pairs {
             let bits = words.next().expect("word count checked above").to_bits();
-            pair[0] = bf16_to_f32((bits & 0xFFFF) as u16);
-            pair[1] = bf16_to_f32((bits >> 16) as u16);
+            pair[0] = f32_from_bf16((bits & 0xFFFF) as u16);
+            pair[1] = f32_from_bf16((bits >> 16) as u16);
         }
         if let [last] = pairs.into_remainder() {
             let bits = words.next().expect("word count checked above").to_bits();
-            *last = bf16_to_f32((bits & 0xFFFF) as u16);
+            *last = f32_from_bf16((bits & 0xFFFF) as u16);
         }
     }
 }
@@ -179,7 +113,7 @@ mod tests {
     #[test]
     fn bf16_round_trip_small_error() {
         for &x in &[0.0f32, 1.0, -1.0, 3.25159, -127.5, 1e-3, 1e30, -1e-30] {
-            let y = bf16_to_f32(f32_to_bf16(x));
+            let y = f32_from_bf16(f32_to_bf16(x));
             let rel = if x == 0.0 { y.abs() } else { ((y - x) / x).abs() };
             assert!(rel < 0.01, "{x} -> {y}");
         }
@@ -187,40 +121,10 @@ mod tests {
 
     #[test]
     fn bf16_preserves_specials() {
-        assert_eq!(bf16_to_f32(f32_to_bf16(f32::INFINITY)), f32::INFINITY);
-        assert_eq!(bf16_to_f32(f32_to_bf16(f32::NEG_INFINITY)), f32::NEG_INFINITY);
-        assert!(bf16_to_f32(f32_to_bf16(f32::NAN)).is_nan());
-        assert_eq!(bf16_to_f32(f32_to_bf16(0.0)), 0.0);
-    }
-
-    #[test]
-    fn f16_round_trip_small_error() {
-        for &x in &[0.0f32, 1.0, -1.0, 3.25159, 0.000061, 655.0, -0.1] {
-            let y = f16_to_f32(f32_to_f16(x));
-            let rel = if x == 0.0 { y.abs() } else { ((y - x) / x).abs() };
-            assert!(rel < 0.001, "{x} -> {y} rel {rel}");
-        }
-    }
-
-    #[test]
-    fn f16_exact_values_round_trip_exactly() {
-        for &x in &[0.5f32, 1.0, 2.0, -4.0, 0.25, 1024.0] {
-            assert_eq!(f16_to_f32(f32_to_f16(x)), x);
-        }
-    }
-
-    #[test]
-    fn f16_overflow_saturates_to_inf() {
-        assert_eq!(f16_to_f32(f32_to_f16(1e6)), f32::INFINITY);
-        assert_eq!(f16_to_f32(f32_to_f16(-1e6)), f32::NEG_INFINITY);
-    }
-
-    #[test]
-    fn f16_subnormals_round_trip() {
-        let x = 1e-7f32; // subnormal in half precision
-        let y = f16_to_f32(f32_to_f16(x));
-        assert!(y > 0.0 && (y - x).abs() / x < 0.5, "{x} -> {y}");
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
+        assert_eq!(f32_from_bf16(f32_to_bf16(f32::INFINITY)), f32::INFINITY);
+        assert_eq!(f32_from_bf16(f32_to_bf16(f32::NEG_INFINITY)), f32::NEG_INFINITY);
+        assert!(f32_from_bf16(f32_to_bf16(f32::NAN)).is_nan());
+        assert_eq!(f32_from_bf16(f32_to_bf16(0.0)), 0.0);
     }
 
     #[test]
@@ -229,7 +133,7 @@ mod tests {
             let src: Vec<f32> = (0..len).map(|i| i as f32 * 0.5 - 3.0).collect();
             let packed = pack_half(&src, f32_to_bf16);
             assert_eq!(packed.len(), len.div_ceil(2));
-            let back = unpack_half(&packed, len, bf16_to_f32);
+            let back = unpack_half(&packed, len, f32_from_bf16);
             assert_eq!(back.len(), len);
             for (a, b) in src.iter().zip(&back) {
                 assert!((a - b).abs() <= a.abs() * 0.01 + 1e-6);
@@ -283,7 +187,7 @@ mod tests {
         for len in [0usize, 1, 2, 3, 255, 256, 257, 511, 512, 513, 1000] {
             let src = mixed_values(len, 0xBF16 + len as u64);
             let packed = pack_half(&src, f32_to_bf16);
-            let scalar = unpack_half(&packed, len, bf16_to_f32);
+            let scalar = unpack_half(&packed, len, f32_from_bf16);
             let mut chunked = vec![0.0f32; len];
             bf16_decode_slice_into(&packed, &mut chunked);
             for (a, b) in scalar.iter().zip(&chunked) {

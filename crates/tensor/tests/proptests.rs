@@ -125,42 +125,27 @@ mod half_props {
     proptest! {
         #[test]
         fn bf16_round_trip_relative_error_bounded(x in -1e30f32..1e30) {
-            let y = bf16_to_f32(f32_to_bf16(x));
+            let y = f32_from_bf16(f32_to_bf16(x));
             let err = if x == 0.0 { y.abs() } else { ((y - x) / x).abs() };
             // bf16 keeps 8 mantissa bits: rel err < 2^-8.
             prop_assert!(err <= 1.0 / 256.0 + 1e-9, "{x} -> {y} err {err}");
         }
 
         #[test]
-        fn f16_round_trip_relative_error_bounded(x in -60000.0f32..60000.0) {
-            let y = f16_to_f32(f32_to_f16(x));
-            if x.abs() >= 6.2e-5 {
-                // Normal range: 10 mantissa bits.
-                let err = ((y - x) / x).abs();
-                prop_assert!(err <= 1.0 / 1024.0 + 1e-9, "{x} -> {y} err {err}");
-            } else {
-                // Subnormal range: absolute error bounded by one ulp.
-                prop_assert!((y - x).abs() <= 6.0e-8, "{x} -> {y}");
-            }
-        }
-
-        #[test]
         fn bf16_preserves_ordering(a in -1e20f32..1e20, b in -1e20f32..1e20) {
             // Monotone conversion: a <= b implies decode(enc(a)) <= decode(enc(b)).
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(bf16_to_f32(f32_to_bf16(lo)) <= bf16_to_f32(f32_to_bf16(hi)));
+            prop_assert!(f32_from_bf16(f32_to_bf16(lo)) <= f32_from_bf16(f32_to_bf16(hi)));
         }
 
         #[test]
         fn pack_unpack_identity_for_representable_values(
             vals in proptest::collection::vec(-100i32..100, 0..40),
         ) {
-            // Small integers are exactly representable in both formats.
+            // Small integers are exactly representable in bf16.
             let src: Vec<f32> = vals.iter().map(|&v| v as f32).collect();
-            let b = unpack_half(&pack_half(&src, f32_to_bf16), src.len(), bf16_to_f32);
-            let h = unpack_half(&pack_half(&src, f32_to_f16), src.len(), f16_to_f32);
+            let b = unpack_half(&pack_half(&src, f32_to_bf16), src.len(), f32_from_bf16);
             prop_assert_eq!(&b, &src);
-            prop_assert_eq!(&h, &src);
         }
     }
 }

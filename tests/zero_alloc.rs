@@ -7,20 +7,21 @@
 //! preallocated at startup (overflow drops events behind a counter,
 //! never grows).
 //!
-//! Lives in its own integration-test binary so the counting global
-//! allocator observes only this test's allocations.
+//! The counting global allocator counts every thread (pool workers
+//! included), so the checks never run side by side: the first test
+//! thread to start runs all of them in sequence (see [`outcome`]) and
+//! each `#[test]` reports the outcome of its own check.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// Wraps the system allocator, counting (de)allocations while enabled.
 struct CountingAlloc;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Serializes the tests: the counting window is process-global.
-static WINDOW: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -45,6 +46,58 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// The checks, in the order they run.
+const CHECKS: [fn(); 4] =
+    [train_epoch_check, codec_check, recording_epoch_check, serve_queries_check];
+
+/// Returns the outcome of `CHECKS[i]`: `Err` holds a failed check's
+/// panic message.
+///
+/// The first test thread to get here runs every check once, in order;
+/// the others block until that run is done and then read its results.
+/// So while a counting window is open, no other test thread is running
+/// code, and the harness's main thread is waiting for a result (every
+/// test thread it starts up front is started before the first check
+/// finishes its warm-up, and no test can finish before the run does).
+/// Each check is caught on its own, so one failure cannot fail the rest.
+fn outcome(i: usize) -> Result<(), String> {
+    static OUTCOMES: OnceLock<[Result<(), String>; 4]> = OnceLock::new();
+    let outcomes = OUTCOMES.get_or_init(|| {
+        CHECKS.map(|check| {
+            let result = panic::catch_unwind(check);
+            // A check that panicked inside its window left counting on.
+            ENABLED.store(false, Ordering::SeqCst);
+            result.map_err(|payload| match payload.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(payload) => {
+                    payload.downcast_ref::<&str>().copied().unwrap_or("check panicked").into()
+                }
+            })
+        })
+    });
+    outcomes[i].clone()
+}
+
+#[test]
+fn steady_state_train_epoch_allocates_nothing() {
+    outcome(0).unwrap();
+}
+
+#[test]
+fn codec_hot_path_allocates_nothing() {
+    outcome(1).unwrap();
+}
+
+#[test]
+fn steady_state_epoch_with_recording_allocates_nothing() {
+    outcome(2).unwrap();
+}
+
+#[test]
+fn steady_state_serve_queries_allocate_nothing() {
+    outcome(3).unwrap();
+}
+
 /// Runs `f` inside the counting window and returns the allocation count.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ALLOCS.store(0, Ordering::SeqCst);
@@ -54,13 +107,11 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.load(Ordering::SeqCst), out)
 }
 
-#[test]
-fn steady_state_train_epoch_allocates_nothing() {
+fn train_epoch_check() {
     use distgnn_core::{Trainer, TrainerConfig};
     use distgnn_graph::{Dataset, ScaledConfig};
     use distgnn_kernels::AggregationConfig;
 
-    let _window = WINDOW.lock().unwrap();
     let ds = Dataset::generate(&ScaledConfig::am_s().scaled_by(0.25));
     let cfg = TrainerConfig::for_dataset(&ds, AggregationConfig::optimized(2), 1);
     let mut trainer = Trainer::new(&ds, &cfg);
@@ -81,11 +132,9 @@ fn steady_state_train_epoch_allocates_nothing() {
 /// buffers — for every codec. The compressed collectives and the DRPA
 /// delta paths call these once per payload per epoch, so a per-call
 /// allocation would silently dominate small-message traffic.
-#[test]
-fn codec_hot_path_allocates_nothing() {
+fn codec_check() {
     use distgnn_comm::{ErrorFeedback, WireCodec};
 
-    let _window = WINDOW.lock().unwrap();
     let src: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.37).sin() * 1e3).collect();
     for codec in [
         WireCodec::None,
@@ -118,15 +167,13 @@ fn codec_hot_path_allocates_nothing() {
 /// events land in the recorder's preallocated ring buffer, so the
 /// steady-state epoch still allocates nothing — even once the buffer
 /// overflows and starts dropping events.
-#[test]
-fn steady_state_epoch_with_recording_allocates_nothing() {
+fn recording_epoch_check() {
     use distgnn_core::{Trainer, TrainerConfig};
     use distgnn_graph::{Dataset, ScaledConfig};
     use distgnn_kernels::AggregationConfig;
     use distgnn_telemetry::{Phase, Recorder, RecorderConfig};
     use std::sync::Arc;
 
-    let _window = WINDOW.lock().unwrap();
     let ds = Dataset::generate(&ScaledConfig::am_s().scaled_by(0.25));
     let cfg = TrainerConfig::for_dataset(&ds, AggregationConfig::optimized(2), 1);
     let mut trainer = Trainer::new(&ds, &cfg);
@@ -155,14 +202,12 @@ fn steady_state_epoch_with_recording_allocates_nothing() {
 /// repairs that follow a graph delta, which run out of the preallocated
 /// gather/repair workspace. Only `apply_deltas` itself may allocate
 /// (adjacency lists and matrices can grow).
-#[test]
-fn steady_state_serve_queries_allocate_nothing() {
+fn serve_queries_check() {
     use distgnn_graph::{generators::community_power_law, Csr};
     use distgnn_serve::{GraphDelta, ServeConfig, ServeEngine};
     use distgnn_suite::core::{GraphSage, SageConfig};
     use distgnn_tensor::init::random_features;
 
-    let _window = WINDOW.lock().unwrap();
     let n = 64;
     let edges = community_power_law(n, n * 6, 3, 0.8, 0.7, 21).symmetrize();
     let g = Csr::from_edges(&edges);
