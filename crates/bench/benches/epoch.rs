@@ -30,7 +30,9 @@ fn bench_epochs(c: &mut Criterion) {
     for mode in [DistMode::Oc, DistMode::Cd0, DistMode::CdR { delay: 2 }] {
         let cfg = DistConfig::new(&ds, mode, 4, 2);
         group.bench_function(BenchmarkId::new("dist4", mode.name()), |b| {
-            b.iter(|| black_box(DistTrainer::run(&ds, &cfg)))
+            b.iter(|| {
+                black_box(DistTrainer::launch(&ds, None, &cfg, None).expect("distributed run"))
+            })
         });
     }
     group.finish();

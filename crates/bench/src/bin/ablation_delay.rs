@@ -24,7 +24,7 @@ fn main() {
     for r in [0usize, 1, 2, 5, 10, 20] {
         let mode = if r == 0 { DistMode::Cd0 } else { DistMode::CdR { delay: r } };
         let cfg = DistConfig::new(&ds, mode, k, epochs);
-        let rep = DistTrainer::run(&ds, &cfg);
+        let rep = DistTrainer::launch(&ds, None, &cfg, None).expect("distributed training failed");
         let sent: u64 = rep.per_rank_comm.iter().map(|s| s.bytes_sent).sum();
         rows.push(vec![
             mode.name(),

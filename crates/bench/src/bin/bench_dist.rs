@@ -261,7 +261,7 @@ fn run_codecs(smoke: bool) -> Vec<CodecRow> {
         .map(|&codec| {
             let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 3, epochs);
             cfg.codec = codec;
-            let run = DistTrainer::try_run(&ds, &cfg).expect("codec run");
+            let run = DistTrainer::launch(&ds, None, &cfg, None).expect("codec run");
             CodecRow {
                 name: codec.name(),
                 test_accuracy: run.test_accuracy as f64,

@@ -229,7 +229,7 @@ fn main() {
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 3, args.epochs);
     cfg.checkpoint_every = args.epochs;
     cfg.checkpoint_dir = Some(ckpt_dir.clone());
-    let run = DistTrainer::try_run(&ds, &cfg).expect("training run");
+    let run = DistTrainer::launch(&ds, None, &cfg, None).expect("training run");
 
     // ---- Restore through the serving loader -----------------------
     let loaded = load_newest_model(&ckpt_dir, &cfg.model).expect("restore checkpoint");

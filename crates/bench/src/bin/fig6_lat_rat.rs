@@ -55,7 +55,8 @@ fn main() {
         let mut row = vec![format!("{k}")];
         for mode in modes {
             let cfg = DistConfig::new(&ds, mode, k, 4);
-            let r = DistTrainer::run(&ds, &cfg);
+            let r = DistTrainer::launch(&ds, None, &cfg, None)
+                .expect("distributed training failed");
             row.push(millis(r.mean_lat()));
             row.push(millis(r.mean_rat()));
         }

@@ -39,7 +39,8 @@ fn main() {
             let mut row = vec![format!("{k}")];
             for mode in [DistMode::Cd0, DistMode::CdR { delay: 5 }, DistMode::Oc] {
                 let dcfg = DistConfig::new(&ds, mode, k, epochs);
-                let r = DistTrainer::run(&ds, &dcfg);
+                let r = DistTrainer::launch(&ds, None, &dcfg, None)
+                    .expect("distributed training failed");
                 row.push(format!("{:.2}", r.test_accuracy * 100.0));
             }
             rows.push(row);

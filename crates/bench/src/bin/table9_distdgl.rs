@@ -44,7 +44,8 @@ fn main() {
     let k = 8;
     let mut dist_cfg = DistConfig::new(&ds, DistMode::CdR { delay: 5 }, k, epochs.max(12));
     dist_cfg.model = model.clone();
-    let dist = DistTrainer::run(&ds, &dist_cfg);
+    let dist = DistTrainer::launch(&ds, None, &dist_cfg, None)
+        .expect("distributed training failed");
 
     // Dist-DGL-style distributed mini-batch at the same rank count.
     let mb_dist = run_dist_minibatch(

@@ -132,12 +132,6 @@ impl Cli {
             || self.adopt_on_crash
     }
 
-    /// True when the run should go through the elastic supervisor
-    /// (dynamic world size) rather than the fixed-world recovery loop.
-    pub fn wants_elastic(&self) -> bool {
-        self.elastic_resume || self.adopt_on_crash
-    }
-
     /// True when phase recording should be on (any exporter requested).
     pub fn wants_telemetry(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some()
@@ -416,11 +410,10 @@ mod tests {
     fn elastic_flags_parse_and_select_the_elastic_path() {
         let plain = parse(&argv("dist-train")).unwrap();
         assert!(!plain.elastic_resume && !plain.adopt_on_crash);
-        assert!(!plain.wants_elastic());
 
         let e = parse(&argv("dist-train --resume --elastic-resume --sockets 4")).unwrap();
         assert!(e.elastic_resume);
-        assert!(e.wants_elastic() && e.wants_recovery());
+        assert!(e.wants_recovery());
 
         let a = parse(&argv(
             "dist-train --adopt-on-crash --faults crash=2@4 --checkpoint-every 2 \
@@ -428,7 +421,7 @@ mod tests {
         ))
         .unwrap();
         assert!(a.adopt_on_crash && !a.elastic_resume);
-        assert!(a.wants_elastic() && a.wants_recovery());
+        assert!(a.wants_recovery());
     }
 
     #[test]

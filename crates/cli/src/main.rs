@@ -90,6 +90,8 @@ fn dist_train(cli: &Cli) {
     cfg.grad_codec = cli.compress_grads;
     cfg.error_feedback = !cli.no_error_feedback;
     cfg.lossy_checkpoints = cli.lossy_checkpoints;
+    cfg.max_restarts = cli.max_restarts;
+    cfg.resume = cli.resume;
     cfg.elastic_resume = cli.elastic_resume;
     cfg.adopt_on_crash = cli.adopt_on_crash;
     println!(
@@ -104,56 +106,30 @@ fn dist_train(cli: &Cli) {
     } else {
         TelemetryHub::disabled(cli.sockets)
     };
-    let report = if cli.wants_recovery() {
-        // The elastic supervisor owns its graph (it re-partitions on
-        // membership changes); the fixed-world loop gets a prebuilt one.
-        let attempt = if cli.wants_elastic() {
-            DistTrainer::try_run_elastic_with_telemetry(&ds, &cfg, cli.max_restarts, cli.resume, &hub)
-        } else {
-            let edges = ds.graph.to_edge_list();
-            let partitioning = libra_partition(&edges, cfg.num_parts);
-            let pg = distgnn_partition::PartitionedGraph::build(&edges, &partitioning, cfg.seed);
-            DistTrainer::try_run_recovering_on_with_telemetry(
-                &ds,
-                &pg,
-                &cfg,
-                cli.max_restarts,
-                cli.resume,
-                &hub,
-            )
-        };
-        match attempt {
-            Ok(rec) => {
-                for f in &rec.failures {
-                    eprintln!("attempt failed: {f}");
-                }
-                println!(
-                    "recovery: {} restart(s), {} epoch(s) replayed, {} retries absorbed \
-                     ({} backoff barriers)",
-                    rec.restarts, rec.epochs_replayed, rec.retries_absorbed, rec.backoff_barriers
-                );
-                if rec.adoptions > 0 {
-                    println!(
-                        "elastic: {} rank(s) adopted, finished at world size {}",
-                        rec.adoptions, rec.final_world
-                    );
-                }
-                rec.run
-            }
-            Err(e) => {
-                eprintln!("error: {e} (restart budget exhausted)");
-                std::process::exit(1);
-            }
+    let report = DistTrainer::launch(&ds, None, &cfg, Some(&hub)).unwrap_or_else(|e| {
+        let budget = if cli.wants_recovery() { " (restart budget exhausted)" } else { "" };
+        eprintln!("error: {e}{budget}");
+        std::process::exit(1);
+    });
+    if cli.wants_recovery() {
+        for f in &report.failures {
+            eprintln!("attempt failed: {f}");
         }
-    } else {
-        match DistTrainer::try_run_with_telemetry(&ds, &cfg, &hub) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+        println!(
+            "recovery: {} restart(s), {} epoch(s) replayed, {} retries absorbed \
+             ({} backoff barriers)",
+            report.restarts,
+            report.epochs_replayed,
+            report.retries_absorbed,
+            report.backoff_barriers
+        );
+        if report.adoptions > 0 {
+            println!(
+                "elastic: {} rank(s) adopted, finished at world size {}",
+                report.adoptions, report.final_world
+            );
         }
-    };
+    }
     for (i, e) in report.epochs.iter().enumerate() {
         if i % 10 == 0 || i + 1 == report.epochs.len() {
             println!(

@@ -176,71 +176,25 @@ impl Cluster {
         F: Fn(&mut RankCtx) -> R + Sync,
         R: Send,
     {
-        Self::run_inner(num_ranks, &FaultPlan::none(), None, 0, f).0
+        Self::run_with(num_ranks, &FaultPlan::none(), None, 0, f).0
     }
 
-    /// Like [`Cluster::run`] but also returns the per-rank
-    /// communication snapshots accumulated during the run.
-    pub fn run_with_stats<F, R>(num_ranks: usize, f: F) -> (Vec<R>, Vec<CommSnapshot>)
-    where
-        F: Fn(&mut RankCtx) -> R + Sync,
-        R: Send,
-    {
-        Self::run_inner(num_ranks, &FaultPlan::none(), None, 0, f)
-    }
-
-    /// Runs under a fault-injection plan. With the same `plan` (same
-    /// seed) and the same SPMD program, two runs produce bit-identical
-    /// fault patterns and [`CommSnapshot`]s.
-    pub fn run_with_faults<F, R>(
-        num_ranks: usize,
-        plan: &FaultPlan,
-        f: F,
-    ) -> (Vec<R>, Vec<CommSnapshot>)
-    where
-        F: Fn(&mut RankCtx) -> R + Sync,
-        R: Send,
-    {
-        Self::run_inner(num_ranks, plan, None, 0, f)
-    }
-
-    /// Like [`Cluster::run_with_faults`] but with one phase
-    /// [`Recorder`] per rank: the collectives attribute their time to
-    /// `CommSend`/`CommWait`/`Barrier` spans and tick retry counters.
-    /// Recording is pure observation — payloads, barrier sequences and
-    /// [`CommSnapshot`]s are bit-identical to an uninstrumented run.
-    pub fn run_with_telemetry<F, R>(
-        num_ranks: usize,
-        plan: &FaultPlan,
-        recorders: &[Arc<Recorder>],
-        f: F,
-    ) -> (Vec<R>, Vec<CommSnapshot>)
-    where
-        F: Fn(&mut RankCtx) -> R + Sync,
-        R: Send,
-    {
-        Self::run_inner(num_ranks, plan, Some(recorders), 0, f)
-    }
-
-    /// Like [`Cluster::run_with_telemetry`] but under an explicit
-    /// membership generation. Elastic resumes and post-adoption worlds
-    /// run here so exported comm state is stamped with their
-    /// generation and restores drop any older generation's traffic.
-    pub fn run_with_membership<F, R>(
-        num_ranks: usize,
-        plan: &FaultPlan,
-        recorders: &[Arc<Recorder>],
-        generation: u64,
-        f: F,
-    ) -> (Vec<R>, Vec<CommSnapshot>)
-    where
-        F: Fn(&mut RankCtx) -> R + Sync,
-        R: Send,
-    {
-        Self::run_inner(num_ranks, plan, Some(recorders), generation, f)
-    }
-
-    fn run_inner<F, R>(
+    /// The general form of [`Cluster::run`]: also returns the per-rank
+    /// communication snapshots, and takes
+    ///
+    /// - `plan`, a fault-injection scenario. With the same `plan` (same
+    ///   seed) and the same SPMD program, two runs produce bit-identical
+    ///   fault patterns and [`CommSnapshot`]s;
+    /// - `recorders`, one phase [`Recorder`] per rank (`None` disables
+    ///   recording). The collectives attribute their time to
+    ///   `CommSend`/`CommWait`/`Barrier` spans and tick retry counters.
+    ///   Recording is pure observation — payloads, barrier sequences and
+    ///   [`CommSnapshot`]s are bit-identical to an uninstrumented run;
+    /// - `generation`, the membership generation (0 for a fresh world).
+    ///   Elastic resumes and post-adoption worlds run under a new one so
+    ///   exported comm state is stamped with it and restores drop any
+    ///   older generation's traffic.
+    pub fn run_with<F, R>(
         num_ranks: usize,
         plan: &FaultPlan,
         recorders: Option<&[Arc<Recorder>]>,
@@ -336,7 +290,7 @@ impl RankCtx<'_> {
     }
 
     /// This rank's phase recorder (disabled unless the run was started
-    /// via [`Cluster::run_with_telemetry`]). The training layers use
+    /// via [`Cluster::run_with`] with recorders). The training layers use
     /// this to scope their own compute phases onto the same timeline.
     pub fn telemetry(&self) -> &Recorder {
         &self.shared.telemetry[self.rank]
@@ -1169,7 +1123,7 @@ mod tests {
 
     #[test]
     fn stats_count_collective_traffic() {
-        let (_, snaps) = Cluster::run_with_stats(2, |ctx| {
+        let (_, snaps) = Cluster::run_with(2, &FaultPlan::none(), None, 0, |ctx| {
             let mut buf = vec![0.0f32; 8];
             ctx.all_reduce_sum(&mut buf);
             let out = vec![vec![1.0; 4], vec![2.0; 4]];
@@ -1190,7 +1144,7 @@ mod tests {
             buf
         });
         for mode in [ProgressMode::Polled, ProgressMode::Thread] {
-            let (overlapped, snaps) = Cluster::run_with_stats(4, move |ctx| {
+            let (overlapped, snaps) = Cluster::run_with(4, &FaultPlan::none(), None, 0, move |ctx| {
                 ctx.set_progress_mode(mode);
                 let buf: Vec<f32> =
                     (0..16).map(|i| (ctx.rank() * 16 + i) as f32 * 0.37).collect();
@@ -1306,7 +1260,7 @@ mod fault_tests {
     #[test]
     fn late_tagged_peer_surfaces_error_not_panic() {
         let plan = FaultPlan::none().with_seed(11).with_delay(1.0, 1000);
-        let (out, snaps) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, snaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let peer = 1 - ctx.rank();
             ctx.send_tagged(peer, 7, vec![1.0]);
             ctx.barrier();
@@ -1321,7 +1275,7 @@ mod fault_tests {
     #[test]
     fn delayed_message_becomes_visible_after_enough_barriers() {
         let plan = FaultPlan::none().with_seed(5).with_delay(1.0, 3);
-        let (out, _) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, _) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let peer = 1 - ctx.rank();
             ctx.send_tagged(peer, 1, vec![2.5]);
             ctx.barrier();
@@ -1341,7 +1295,7 @@ mod fault_tests {
     #[test]
     fn dropped_tagged_message_never_arrives_and_is_counted() {
         let plan = FaultPlan::none().with_seed(2).with_drop(1.0);
-        let (out, snaps) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, snaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let peer = 1 - ctx.rank();
             ctx.send_tagged(peer, 3, vec![1.0, 2.0]);
             ctx.barrier();
@@ -1357,7 +1311,7 @@ mod fault_tests {
     #[test]
     fn reorder_swaps_adjacent_availability() {
         let plan = FaultPlan::none().with_seed(4).with_reorder(1.0);
-        let (out, snaps) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, snaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let peer = 1 - ctx.rank();
             ctx.send_tagged(peer, 1, vec![1.0]); // held
             let before = ctx.try_recv_tagged(peer, 1);
@@ -1381,7 +1335,7 @@ mod fault_tests {
     #[test]
     fn dropped_collective_payload_aborts_all_ranks() {
         let plan = FaultPlan::none().with_seed(9).with_drop(1.0);
-        let (out, _) = Cluster::run_with_faults(3, &plan, |ctx| {
+        let (out, _) = Cluster::run_with(3, &plan, None, 0, |ctx| {
             let outgoing = (0..3).map(|d| vec![d as f32]).collect();
             ctx.all_to_all_v(outgoing)
         });
@@ -1396,7 +1350,7 @@ mod fault_tests {
     #[test]
     fn stalled_rank_suppresses_sends_and_peers_get_typed_error() {
         let plan = FaultPlan::none().with_seed(1).with_stall(1, 0, 1);
-        let (out, snaps) = Cluster::run_with_faults(3, &plan, |ctx| {
+        let (out, snaps) = Cluster::run_with(3, &plan, None, 0, |ctx| {
             ctx.set_epoch(0);
             let outgoing = (0..3).map(|d| vec![d as f32]).collect();
             ctx.all_to_all_v(outgoing)
@@ -1414,7 +1368,7 @@ mod fault_tests {
     #[test]
     fn stall_window_passes_and_collectives_recover() {
         let plan = FaultPlan::none().with_seed(1).with_stall(0, 0, 2);
-        let (out, _) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, _) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let mut results = Vec::new();
             for e in 0..3u64 {
                 ctx.set_epoch(e);
@@ -1434,7 +1388,7 @@ mod fault_tests {
     #[test]
     fn delayed_collective_payload_aborts_without_retry() {
         let plan = FaultPlan::none().with_seed(13).with_delay(1.0, 3);
-        let (out, snaps) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, snaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let outgoing = (0..2).map(|d| vec![d as f32]).collect();
             ctx.all_to_all_v(outgoing)
         });
@@ -1449,7 +1403,7 @@ mod fault_tests {
     #[test]
     fn retry_absorbs_transient_collective_delay() {
         let plan = FaultPlan::none().with_seed(13).with_delay(1.0, 3);
-        let (out, snaps) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, snaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let outgoing: Vec<Vec<f32>> =
                 (0..2).map(|d| vec![(ctx.rank() * 10 + d) as f32]).collect();
             ctx.all_to_all_v_retry(outgoing, &RetryPolicy::standard())
@@ -1472,7 +1426,7 @@ mod fault_tests {
     #[test]
     fn retry_exhaustion_escalates_to_collective_abort() {
         let plan = FaultPlan::none().with_seed(9).with_drop(1.0);
-        let (out, snaps) = Cluster::run_with_faults(3, &plan, |ctx| {
+        let (out, snaps) = Cluster::run_with(3, &plan, None, 0, |ctx| {
             let outgoing = (0..3).map(|d| vec![d as f32]).collect();
             ctx.all_to_all_v_retry(outgoing, &RetryPolicy::standard())
         });
@@ -1489,7 +1443,7 @@ mod fault_tests {
     #[test]
     fn recv_tagged_retry_absorbs_delay() {
         let plan = FaultPlan::none().with_seed(5).with_delay(1.0, 3);
-        let (out, snaps) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, snaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let peer = 1 - ctx.rank();
             ctx.send_tagged(peer, 7, vec![4.5]);
             ctx.barrier();
@@ -1507,11 +1461,11 @@ mod fault_tests {
     #[test]
     fn async_all_to_all_falls_back_to_blocking_under_faults() {
         let plan = FaultPlan::none().with_seed(13).with_delay(1.0, 3);
-        let (blocking, bsnaps) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (blocking, bsnaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let outgoing = (0..2).map(|d| vec![(ctx.rank() * 10 + d) as f32]).collect();
             ctx.all_to_all_v_retry(outgoing, &RetryPolicy::standard()).expect("absorbed")
         });
-        let (asynced, asnaps) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (asynced, asnaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let outgoing = (0..2).map(|d| vec![(ctx.rank() * 10 + d) as f32]).collect();
             let h = ctx.all_to_all_v_async(outgoing, &RetryPolicy::standard());
             assert!(!ctx.all_to_all_v_poll(&h), "fault-mode completion needs the collective wait");
@@ -1530,7 +1484,7 @@ mod fault_tests {
     #[test]
     fn check_crashed_fires_from_the_crash_epoch() {
         let plan = FaultPlan::none().with_crash(1, 2);
-        let (out, _) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, _) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let mut seen = Vec::new();
             for e in 0..4u64 {
                 ctx.set_epoch(e);
@@ -1552,7 +1506,7 @@ mod fault_tests {
     #[test]
     fn outbox_export_restore_round_trip() {
         let plan = FaultPlan::none().with_seed(5).with_delay(1.0, 3);
-        let (out, _) = Cluster::run_with_faults(2, &plan, |ctx| {
+        let (out, _) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let peer = 1 - ctx.rank();
             ctx.send_tagged(peer, 2, vec![2.0]);
             ctx.send_tagged(peer, 1, vec![1.0]);
@@ -1591,7 +1545,7 @@ mod fault_tests {
     #[test]
     fn restore_drops_other_generations_traffic() {
         let recs: Vec<_> = (0..2).map(|_| Arc::new(Recorder::disabled())).collect();
-        let (out, _) = Cluster::run_with_membership(2, &FaultPlan::none(), &recs, 7, |ctx| {
+        let (out, _) = Cluster::run_with(2, &FaultPlan::none(), Some(&recs[..]), 7, |ctx| {
             assert_eq!(ctx.membership_generation(), 7);
             ctx.send_tagged(1 - ctx.rank(), 9, vec![3.5]);
             ctx.barrier();
@@ -1601,7 +1555,7 @@ mod fault_tests {
         let exported = out[0].clone();
         // Same generation: the message survives the restore.
         let (got, _) =
-            Cluster::run_with_membership(2, &FaultPlan::none(), &recs, 7, move |ctx| {
+            Cluster::run_with(2, &FaultPlan::none(), Some(&recs[..]), 7, move |ctx| {
                 if ctx.rank() == 0 {
                     ctx.restore_outbox(&exported);
                 }
@@ -1612,7 +1566,7 @@ mod fault_tests {
         // New generation: dropped and counted, never delivered.
         let exported = out[0].clone();
         let (got, snaps) =
-            Cluster::run_with_membership(2, &FaultPlan::none(), &recs, 8, move |ctx| {
+            Cluster::run_with(2, &FaultPlan::none(), Some(&recs[..]), 8, move |ctx| {
                 if ctx.rank() == 0 {
                     ctx.restore_outbox(&exported);
                 }
@@ -1636,21 +1590,21 @@ mod fault_tests {
                 let _ = ctx.try_recv_tagged(from, t);
             }
         };
-        let (_, a) = Cluster::run_with_faults(4, &plan, program);
-        let (_, b) = Cluster::run_with_faults(4, &plan, program);
+        let (_, a) = Cluster::run_with(4, &plan, None, 0, program);
+        let (_, b) = Cluster::run_with(4, &plan, None, 0, program);
         assert_eq!(a, b, "same seed must reproduce the same snapshots");
         let (_, c) =
-            Cluster::run_with_faults(4, &plan.clone().with_seed(78), program);
+            Cluster::run_with(4, &plan.clone().with_seed(78), None, 0, program);
         assert_ne!(a, c, "a different seed should perturb the fault pattern");
     }
 
     #[test]
     fn empty_plan_behaves_like_no_faults() {
-        let (a, sa) = Cluster::run_with_faults(2, &FaultPlan::none(), |ctx| {
+        let (a, sa) = Cluster::run_with(2, &FaultPlan::none(), None, 0, |ctx| {
             let out = vec![vec![1.0; 4], vec![2.0; 4]];
             ctx.all_to_all_v(out).expect("no faults").len()
         });
-        let (b, sb) = Cluster::run_with_stats(2, |ctx| {
+        let (b, sb) = Cluster::run_with(2, &FaultPlan::none(), None, 0, |ctx| {
             let out = vec![vec![1.0; 4], vec![2.0; 4]];
             ctx.all_to_all_v(out).expect("no faults").len()
         });
@@ -1755,10 +1709,11 @@ mod collective_tests {
     fn telemetry_records_comm_phases_without_perturbing_payloads() {
         use distgnn_telemetry::TelemetryHub;
         let hub = TelemetryHub::new(2, Default::default());
-        let (out, snaps) = Cluster::run_with_telemetry(
+        let (out, snaps) = Cluster::run_with(
             2,
             &FaultPlan::none(),
-            hub.recorders(),
+            Some(hub.recorders()),
+            0,
             |ctx| {
                 let mut buf = vec![ctx.rank() as f32 + 1.0; 4];
                 ctx.all_reduce_sum(&mut buf);
@@ -1777,7 +1732,7 @@ mod collective_tests {
             assert_eq!(hub.rank(r).events_dropped(), 0);
         }
         // Recording is pure observation: stats match an uninstrumented run.
-        let (_, plain) = Cluster::run_with_stats(2, |ctx| {
+        let (_, plain) = Cluster::run_with(2, &FaultPlan::none(), None, 0, |ctx| {
             let mut buf = vec![ctx.rank() as f32 + 1.0; 4];
             ctx.all_reduce_sum(&mut buf);
             let outgoing = (0..2).map(|d| vec![d as f32; 2]).collect();
@@ -1793,7 +1748,7 @@ mod collective_tests {
         let plan = FaultPlan::none().with_seed(13).with_delay(1.0, 3);
         let hub = TelemetryHub::new(2, Default::default());
         let (out, snaps) =
-            Cluster::run_with_telemetry(2, &plan, hub.recorders(), |ctx| {
+            Cluster::run_with(2, &plan, Some(hub.recorders()), 0, |ctx| {
                 let outgoing = (0..2).map(|d| vec![d as f32]).collect();
                 ctx.all_to_all_v_retry(outgoing, &RetryPolicy::standard()).is_ok()
             });

@@ -22,7 +22,7 @@
 //! scaling figures combine both.
 
 //! A deterministic fault-injection layer ([`faults::FaultPlan`],
-//! [`cluster::Cluster::run_with_faults`]) can drop, delay, or reorder
+//! [`cluster::Cluster::run_with`]) can drop, delay, or reorder
 //! messages and stall ranks; failures surface as typed
 //! [`cluster::CommError`]s instead of panics, and every fault decision
 //! is a pure function of the plan's seed, so chaos runs replay

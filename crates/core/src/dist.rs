@@ -31,6 +31,7 @@ use distgnn_partition::{
 };
 use distgnn_telemetry::{Metric, MetricsRegistry, Phase, Recorder, TelemetryHub, TraceCounter};
 use distgnn_tensor::{reduce, Matrix};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -114,16 +115,27 @@ pub struct DistConfig {
     /// ([`CheckpointMode::LossyBf16`]): halves the weight-bearing
     /// sections, but resume is no longer bit-exact.
     pub lossy_checkpoints: bool,
-    /// Allow resuming a checkpoint written by a different world size:
-    /// the supervisor merges the global param/Adam state, re-shards the
-    /// vertex-cut online and restarts at [`DistConfig::num_parts`]
-    /// ranks under a fresh membership generation. Without this flag a
-    /// world-size mismatch is a hard error.
+    /// Restart budget: after a failed attempt, [`DistTrainer::launch`]
+    /// reloads the newest valid checkpoint and relaunches, up to this
+    /// many times. 0 (the default) returns the first error unchanged.
+    pub max_restarts: usize,
+    /// Start the first attempt from the newest valid checkpoint under
+    /// [`DistConfig::checkpoint_dir`] instead of from scratch.
+    pub resume: bool,
+    /// Selects the elastic supervisor (as does
+    /// [`DistConfig::adopt_on_crash`]) and lets it resume a checkpoint
+    /// written by a different world size: it merges the global
+    /// param/Adam state, re-shards the vertex-cut online and restarts
+    /// at [`DistConfig::num_parts`] ranks under a fresh membership
+    /// generation. The elastic supervisor cuts its own graph. With
+    /// neither flag the world size is fixed and a world-size mismatch
+    /// is a hard error.
     pub elastic_resume: bool,
-    /// On a fail-stop crash, let the survivors vote on the newest valid
-    /// checkpoint and adopt the dead rank's shard — training continues
-    /// at world size N−1 with no world restart — instead of restarting
-    /// the whole world.
+    /// Selects the elastic supervisor (as does
+    /// [`DistConfig::elastic_resume`]) and, on a fail-stop crash, lets
+    /// the survivors vote on the newest valid checkpoint and adopt the
+    /// dead rank's shard — training continues at world size N−1 with no
+    /// world restart — instead of restarting the whole world.
     pub adopt_on_crash: bool,
     /// Membership generation this world runs under (0 for a fresh
     /// cluster; bumped by the supervisor on every elastic resize or
@@ -156,6 +168,8 @@ impl DistConfig {
             grad_codec: None,
             error_feedback: true,
             lossy_checkpoints: false,
+            max_restarts: 0,
+            resume: false,
             elastic_resume: false,
             adopt_on_crash: false,
             generation: 0,
@@ -233,6 +247,23 @@ pub struct DistRunReport {
     pub partition_vertices: Vec<usize>,
     /// Edges per partition.
     pub partition_edges: Vec<usize>,
+    /// Restarts taken after failed attempts. Adoptions are membership
+    /// changes, not restarts, and do not count here.
+    pub restarts: usize,
+    /// Epochs re-executed because they post-dated the last checkpoint.
+    pub epochs_replayed: usize,
+    /// Collective retries absorbed by the final attempt's
+    /// [`RetryPolicy`] (summed over ranks).
+    pub retries_absorbed: u64,
+    /// Barriers spent backing off during those retries.
+    pub backoff_barriers: u64,
+    /// The error each failed attempt died with, in order.
+    pub failures: Vec<DistError>,
+    /// Crashed-rank shards adopted by the survivors (each one shrinks
+    /// the world by a rank instead of restarting it).
+    pub adoptions: usize,
+    /// World size the run finished at (`num_parts` minus adoptions).
+    pub final_world: usize,
 }
 
 impl DistRunReport {
@@ -297,90 +328,200 @@ struct RankResult {
     failure: Option<(usize, CommError)>,
 }
 
+/// What the elastic supervisor needs to re-cut the graph when the world
+/// size changes: the global edge list and the current vertex-cut.
+struct ElasticCtx {
+    edges: EdgeList,
+    partitioning: Partitioning,
+}
+
 /// The distributed trainer.
 pub struct DistTrainer;
 
 impl DistTrainer {
-    /// Partitions `dataset`, spawns one rank per partition and trains
-    /// for `config.epochs` full-batch epochs.
+    /// Trains `dataset` for `config.epochs` full-batch epochs, one rank
+    /// per partition. This is the one way to run; what runs is read off
+    /// the arguments and the config:
     ///
-    /// # Panics
-    /// Panics on a communication failure; chaos runs that expect
-    /// failures use [`DistTrainer::try_run`].
-    pub fn run(dataset: &Dataset, config: &DistConfig) -> DistRunReport {
-        Self::try_run(dataset, config).expect("distributed training failed")
+    /// - `graph: None` cuts the graph with Libra for `config.num_parts`;
+    ///   `Some` trains on the caller's cut (lets a harness reuse one
+    ///   partitioning across modes).
+    /// - [`DistConfig::elastic_resume`] or [`DistConfig::adopt_on_crash`]
+    ///   selects the elastic supervisor, which treats the world size as
+    ///   dynamic. A checkpoint written by another world size is merged
+    ///   into one [`GlobalState`](crate::GlobalState), the cut is
+    ///   re-sharded for `config.num_parts` ranks and training resumes
+    ///   under a fresh membership generation. With `adopt_on_crash`, a
+    ///   fail-stop crash makes the survivors vote on the newest valid
+    ///   checkpoint, adopt the dead rank's shard and continue at world
+    ///   size N−1 without a restart. This supervisor owns (and re-cuts)
+    ///   its graph, so either flag with `Some(graph)` panics. Without
+    ///   either flag the world size is fixed and a mismatched
+    ///   checkpoint is a hard error.
+    /// - On a [`DistError`] the newest *valid* checkpoint under
+    ///   `config.checkpoint_dir` is reloaded (a corrupt one falls back to
+    ///   the one before it) and the run relaunched, up to
+    ///   `config.max_restarts` times; with `config.resume` the first
+    ///   attempt also starts from it. Restarted attempts run with
+    ///   [`FaultPlan::none`]: the injected fault killed the previous
+    ///   incarnation of the cluster and does not survive into the new
+    ///   one. Combined with checkpoints that capture params, optimizer
+    ///   moments, DRPA caches and in-flight messages, a
+    ///   killed-and-recovered run finishes with parameters bit-identical
+    ///   to an uninterrupted same-seed run. With the defaults (no
+    ///   restarts, no resume, neither elastic flag) the run is a single
+    ///   attempt whose error is returned unchanged.
+    /// - `hub` records phase timelines and counters into one
+    ///   [`Recorder`] per rank; it needs at least `config.num_parts`, and
+    ///   after a shrink the surviving ranks keep theirs. Every attempt
+    ///   records into it, and each restart or adoption ticks the
+    ///   `Replay`/`Adoption` trace counters. Recording only reads the
+    ///   clock and writes preallocated atomics, so the trained
+    ///   parameters are bit-identical to an unrecorded run.
+    pub fn launch(
+        dataset: &Dataset,
+        graph: Option<&PartitionedGraph>,
+        config: &DistConfig,
+        hub: Option<&TelemetryHub>,
+    ) -> Result<DistRunReport, DistError> {
+        let elastic_flag = match (config.elastic_resume, config.adopt_on_crash) {
+            (true, _) => Some("elastic_resume"),
+            (_, true) => Some("adopt_on_crash"),
+            _ => None,
+        };
+        if let (Some(flag), Some(_)) = (elastic_flag, graph) {
+            panic!(
+                "DistConfig::{flag} selects the elastic supervisor, which cuts its own graph: \
+                 launch with `graph: None`"
+            );
+        }
+        // The elastic supervisor keeps the edge list and cut to re-shard
+        // on every membership change; otherwise the cut is built once.
+        let mut owned_pg = None;
+        let mut elastic = None;
+        if graph.is_none() {
+            let edges = dataset.graph.to_edge_list();
+            let partitioning = libra_partition(&edges, config.num_parts);
+            owned_pg = Some(PartitionedGraph::build(&edges, &partitioning, config.seed));
+            if elastic_flag.is_some() {
+                elastic = Some(ElasticCtx { edges, partitioning });
+            }
+        }
+        // Cloned only once an attempt must differ from the caller's
+        // config (resume, restart, adoption): a plain run allocates
+        // nothing beyond the attempt itself.
+        let mut cfg = Cow::Borrowed(config);
+        let mut restarts = 0usize;
+        let mut adoptions = 0usize;
+        let mut epochs_replayed = 0usize;
+        let mut failures = Vec::new();
+        let mut states = if config.resume {
+            load_newest_valid_checkpoint(config.checkpoint_dir.as_deref())
+        } else {
+            None
+        };
+        Self::reconcile_world(&mut cfg, &mut states, &mut elastic, &mut owned_pg);
+        loop {
+            let pg = owned_pg.as_ref().or(graph).expect("borrowed or built above");
+            let err = match Self::attempt(dataset, pg, &cfg, states.as_deref(), hub) {
+                Ok(mut run) => {
+                    run.restarts = restarts;
+                    run.epochs_replayed = epochs_replayed;
+                    run.failures = failures;
+                    run.adoptions = adoptions;
+                    return Ok(run);
+                }
+                Err(err) => err,
+            };
+            // A fail-stop crash with adoption enabled shrinks the world
+            // instead of restarting it: survivors vote on a checkpoint,
+            // adopt the dead rank's shard, and keep training at N−1. Not
+            // a restart — the budget is untouched.
+            let adopted = match err.source {
+                CommError::RankCrashed { rank }
+                    if elastic.is_some() && cfg.adopt_on_crash && cfg.num_parts > 1 =>
+                {
+                    Self::adoption_vote(cfg.num_parts - 1, cfg.checkpoint_dir.as_deref())
+                        .map(|states| (rank, states))
+                }
+                _ => None,
+            };
+            let adopting = adopted.is_some();
+            let resume_epoch = if let Some((rank, adopted)) = adopted {
+                let e = elastic.as_mut().expect("adoption runs on the elastic path");
+                let survivors = cfg.num_parts - 1;
+                // Survivors keep their shards; only the dead rank's
+                // edges move.
+                e.partitioning = reshard_remove_part(&e.edges, &e.partitioning, rank as PartId);
+                let global = merge_cluster_state(&adopted)
+                    .unwrap_or_else(|m| panic!("adopted checkpoint is inconsistent: {m}"));
+                // Every membership change opens a new generation so no
+                // old-world traffic (restored outboxes) leaks in.
+                let generation = global.generation + 1;
+                states = Some(reshard_states(&global, survivors, generation));
+                owned_pg = Some(PartitionedGraph::build(&e.edges, &e.partitioning, cfg.seed));
+                let c = cfg.to_mut();
+                c.num_parts = survivors;
+                c.generation = generation;
+                c.faults = FaultPlan::none();
+                adoptions += 1;
+                global.epoch as usize
+            } else {
+                if restarts >= cfg.max_restarts {
+                    return Err(err);
+                }
+                restarts += 1;
+                // The fault plan modelled the failure of the *old*
+                // cluster incarnation; the relaunched one starts with a
+                // clean bill of health (epoch-keyed rules would
+                // otherwise re-fire on every replay).
+                cfg.to_mut().faults = FaultPlan::none();
+                states = load_newest_valid_checkpoint(cfg.checkpoint_dir.as_deref());
+                // A restart right after an adoption can reload a
+                // checkpoint the *pre*-shrink world wrote; the elastic
+                // path re-shards it for the current size.
+                Self::reconcile_world(&mut cfg, &mut states, &mut elastic, &mut owned_pg);
+                states.as_ref().map_or(0, |s| s[0].epoch as usize)
+            };
+            let replayed = err.epoch.saturating_sub(resume_epoch);
+            epochs_replayed += replayed;
+            if let Some(h) = hub {
+                for r in &h.recorders()[..cfg.num_parts.min(h.num_ranks())] {
+                    if adopting {
+                        r.counter(TraceCounter::Adoption, 1);
+                    }
+                    r.counter(TraceCounter::Replay, replayed as u64);
+                }
+            }
+            failures.push(err);
+        }
     }
 
-    /// Runs on a pre-built partitioned graph (lets the harness reuse
-    /// one partitioning across modes).
-    pub fn run_on(dataset: &Dataset, pg: &PartitionedGraph, config: &DistConfig) -> DistRunReport {
-        Self::try_run_on(dataset, pg, config).expect("distributed training failed")
-    }
-
-    /// Fallible variant of [`DistTrainer::run`]: a communication
-    /// failure (e.g. a fault-injected payload loss under `cd-0`)
-    /// surfaces as a structured [`DistError`] instead of a panic or a
-    /// deadlock.
-    pub fn try_run(dataset: &Dataset, config: &DistConfig) -> Result<DistRunReport, DistError> {
-        let edges = dataset.graph.to_edge_list();
-        let partitioning = libra_partition(&edges, config.num_parts);
-        let pg = PartitionedGraph::build(&edges, &partitioning, config.seed);
-        Self::try_run_on(dataset, &pg, config)
-    }
-
-    /// Fallible variant of [`DistTrainer::run_on`].
+    /// [`DistTrainer::launch`] on a pre-built cut, without telemetry.
     pub fn try_run_on(
         dataset: &Dataset,
         pg: &PartitionedGraph,
         config: &DistConfig,
     ) -> Result<DistRunReport, DistError> {
-        Self::try_run_resumed(dataset, pg, config, None, None)
+        Self::launch(dataset, Some(pg), config, None)
     }
 
-    /// Like [`DistTrainer::try_run_on`], but recording phase timelines
-    /// and counters into `hub` (one [`Recorder`] per rank). Recording
-    /// only reads the clock and writes preallocated atomics, so the
-    /// trained parameters are bit-identical to an unrecorded run.
+    /// [`DistTrainer::launch`] on a pre-built cut, recording into `hub`.
     pub fn try_run_on_with_telemetry(
         dataset: &Dataset,
         pg: &PartitionedGraph,
         config: &DistConfig,
         hub: &TelemetryHub,
     ) -> Result<DistRunReport, DistError> {
-        Self::try_run_resumed(dataset, pg, config, None, Some(hub))
+        Self::launch(dataset, Some(pg), config, Some(hub))
     }
 
-    /// [`DistTrainer::try_run_on_with_telemetry`] that also partitions.
-    pub fn try_run_with_telemetry(
-        dataset: &Dataset,
-        config: &DistConfig,
-        hub: &TelemetryHub,
-    ) -> Result<DistRunReport, DistError> {
-        let edges = dataset.graph.to_edge_list();
-        let partitioning = libra_partition(&edges, config.num_parts);
-        let pg = PartitionedGraph::build(&edges, &partitioning, config.seed);
-        Self::try_run_resumed(dataset, &pg, config, None, Some(hub))
-    }
-
-    /// [`DistTrainer::try_run_on`] starting from explicit per-rank
-    /// states (one per partition, all from the same epoch barrier).
-    /// The elastic re-shard path hands merged/re-sharded states here;
-    /// tests use it to start a "fresh" world from a prescribed state.
-    pub fn try_run_on_resumed(
-        dataset: &Dataset,
-        pg: &PartitionedGraph,
-        config: &DistConfig,
-        states: &[TrainState],
-    ) -> Result<DistRunReport, DistError> {
-        Self::try_run_resumed(dataset, pg, config, Some(states), None)
-    }
-
-    /// Like [`DistTrainer::try_run_on`], but optionally starting from a
+    /// One training attempt on `pg`, optionally starting from a
     /// consistent cluster checkpoint (one [`TrainState`] per rank, all
     /// from the same epoch barrier). Restoring params, Adam moments,
     /// DRPA caches and the in-flight outbox makes the resumed run
     /// reproduce the uninterrupted one bit-for-bit.
-    fn try_run_resumed(
+    fn attempt(
         dataset: &Dataset,
         pg: &PartitionedGraph,
         config: &DistConfig,
@@ -389,15 +530,6 @@ impl DistTrainer {
     ) -> Result<DistRunReport, DistError> {
         let k = pg.num_parts();
         assert_eq!(k, config.num_parts, "partition count mismatch");
-        if let Some(states) = resume {
-            assert_eq!(
-                states.len(),
-                k,
-                "checkpoint holds a {}-rank world but this run wants {k} ranks: resume \
-                 through the elastic path (--elastic-resume) to merge and re-shard it",
-                states.len()
-            );
-        }
         let start_epoch = resume.map_or(0, |s| s[0].epoch as usize);
         assert!(
             start_epoch <= config.epochs,
@@ -438,7 +570,7 @@ impl DistTrainer {
         };
 
         let (results, comm) =
-            Cluster::run_with_membership(k, &config.faults, recorders, config.generation, |ctx| {
+            Cluster::run_with(k, &config.faults, Some(recorders), config.generation, |ctx| {
             let me = ctx.rank();
             let data = &rank_data[me];
             if let Some(mode) = config.overlap {
@@ -731,283 +863,20 @@ impl DistTrainer {
         Ok(DistRunReport {
             epochs,
             test_accuracy,
+            retries_absorbed: comm.iter().map(|s| s.retries_attempted).sum(),
+            backoff_barriers: comm.iter().map(|s| s.backoff_barriers).sum(),
             per_rank_comm: comm,
             final_params: results.into_iter().map(|r| r.params).collect(),
             partition_vertices: pg.parts.iter().map(|p| p.num_local_vertices()).collect(),
             partition_edges: pg.parts.iter().map(|p| p.graph.num_edges()).collect(),
+            restarts: 0,
+            epochs_replayed: 0,
+            failures: Vec::new(),
+            adoptions: 0,
+            final_world: k,
         })
     }
-}
 
-/// Outcome of a supervised, crash-recovering run.
-#[derive(Clone, Debug)]
-pub struct RecoveryReport {
-    /// The report of the final (successful) training attempt.
-    pub run: DistRunReport,
-    /// Restarts taken after failed attempts. Adoptions are membership
-    /// changes, not restarts, and do not count here.
-    pub restarts: usize,
-    /// Epochs re-executed because they post-dated the last checkpoint.
-    pub epochs_replayed: usize,
-    /// Collective retries absorbed by the final attempt's
-    /// [`RetryPolicy`] (summed over ranks).
-    pub retries_absorbed: u64,
-    /// Barriers spent backing off during those retries.
-    pub backoff_barriers: u64,
-    /// The error each failed attempt died with, in order.
-    pub failures: Vec<DistError>,
-    /// Crashed-rank shards adopted by the survivors (each one shrinks
-    /// the world by a rank instead of restarting it).
-    pub adoptions: usize,
-    /// World size the run finished at (`num_parts` minus adoptions).
-    pub final_world: usize,
-}
-
-/// What the elastic supervisor needs to re-cut the graph when the world
-/// size changes: the global edge list and the current vertex-cut.
-struct ElasticCtx {
-    edges: EdgeList,
-    partitioning: Partitioning,
-}
-
-impl DistTrainer {
-    /// Supervised training with elastic crash recovery: runs
-    /// [`DistTrainer::try_run_on`]; on a [`DistError`] reloads the
-    /// newest *valid* checkpoint under `config.checkpoint_dir` (a
-    /// corrupt one falls back to the one before it) and relaunches, up
-    /// to `max_restarts` times. With `resume`, the first attempt also
-    /// starts from the newest checkpoint instead of from scratch.
-    ///
-    /// Restarted attempts run with [`FaultPlan::none`]: the injected
-    /// fault killed the previous incarnation of the cluster and does
-    /// not survive into the new one. Combined with checkpoints that
-    /// capture params, optimizer moments, DRPA caches and in-flight
-    /// messages, a killed-and-recovered run finishes with parameters
-    /// bit-identical to an uninterrupted same-seed run.
-    pub fn try_run_recovering(
-        dataset: &Dataset,
-        config: &DistConfig,
-        max_restarts: usize,
-        resume: bool,
-    ) -> Result<RecoveryReport, DistError> {
-        let edges = dataset.graph.to_edge_list();
-        let partitioning = libra_partition(&edges, config.num_parts);
-        let pg = PartitionedGraph::build(&edges, &partitioning, config.seed);
-        Self::try_run_recovering_on(dataset, &pg, config, max_restarts, resume)
-    }
-
-    /// [`DistTrainer::try_run_recovering`] on a pre-built partitioning.
-    pub fn try_run_recovering_on(
-        dataset: &Dataset,
-        pg: &PartitionedGraph,
-        config: &DistConfig,
-        max_restarts: usize,
-        resume: bool,
-    ) -> Result<RecoveryReport, DistError> {
-        Self::recovering_inner(dataset, pg, config, max_restarts, resume, None)
-    }
-
-    /// [`DistTrainer::try_run_recovering_on`] with phase recording: every
-    /// attempt (failed ones included) records into the same `hub`, and
-    /// each restart ticks the per-rank `epochs_replayed` trace counter
-    /// with the epochs lost since the last checkpoint.
-    pub fn try_run_recovering_on_with_telemetry(
-        dataset: &Dataset,
-        pg: &PartitionedGraph,
-        config: &DistConfig,
-        max_restarts: usize,
-        resume: bool,
-        hub: &TelemetryHub,
-    ) -> Result<RecoveryReport, DistError> {
-        Self::recovering_inner(dataset, pg, config, max_restarts, resume, Some(hub))
-    }
-
-    fn recovering_inner(
-        dataset: &Dataset,
-        pg: &PartitionedGraph,
-        config: &DistConfig,
-        max_restarts: usize,
-        resume: bool,
-        hub: Option<&TelemetryHub>,
-    ) -> Result<RecoveryReport, DistError> {
-        Self::supervise(dataset, Some(pg), config, max_restarts, resume, hub, None)
-    }
-
-    /// Supervised training that treats the world size as *dynamic*:
-    ///
-    /// - **resize on resume** — when the newest checkpoint under
-    ///   `config.checkpoint_dir` was written by a different world size,
-    ///   it is merged into one [`GlobalState`](crate::GlobalState),
-    ///   the graph is online-re-partitioned for `config.num_parts`
-    ///   ranks, and training resumes at the new size under a fresh
-    ///   membership generation;
-    /// - **shrink on crash** — with [`DistConfig::adopt_on_crash`], a
-    ///   fail-stop crash makes the survivors vote on the newest valid
-    ///   checkpoint, adopt the dead rank's shard from it, and continue
-    ///   at world size N−1 without a world restart.
-    ///
-    /// Everything [`DistTrainer::try_run_recovering`] does (checkpoint
-    /// fallback, restart budget, replay accounting) still applies to
-    /// failures that adoption cannot absorb.
-    pub fn try_run_elastic(
-        dataset: &Dataset,
-        config: &DistConfig,
-        max_restarts: usize,
-        resume: bool,
-    ) -> Result<RecoveryReport, DistError> {
-        Self::elastic_inner(dataset, config, max_restarts, resume, None)
-    }
-
-    /// [`DistTrainer::try_run_elastic`] with phase recording. The hub
-    /// must have at least `config.num_parts` recorders; after a shrink
-    /// the surviving ranks keep their recorders.
-    pub fn try_run_elastic_with_telemetry(
-        dataset: &Dataset,
-        config: &DistConfig,
-        max_restarts: usize,
-        resume: bool,
-        hub: &TelemetryHub,
-    ) -> Result<RecoveryReport, DistError> {
-        Self::elastic_inner(dataset, config, max_restarts, resume, Some(hub))
-    }
-
-    fn elastic_inner(
-        dataset: &Dataset,
-        config: &DistConfig,
-        max_restarts: usize,
-        resume: bool,
-        hub: Option<&TelemetryHub>,
-    ) -> Result<RecoveryReport, DistError> {
-        let edges = dataset.graph.to_edge_list();
-        let partitioning = libra_partition(&edges, config.num_parts);
-        let elastic = ElasticCtx { edges, partitioning };
-        Self::supervise(dataset, None, config, max_restarts, resume, hub, Some(elastic))
-    }
-
-    /// The supervision loop behind both the fixed-world recovery path
-    /// (`elastic = None`: the world size is a constant, a mismatched
-    /// checkpoint is fatal) and the elastic path (`elastic = Some`:
-    /// mismatches re-shard, crashes may shrink).
-    fn supervise(
-        dataset: &Dataset,
-        pg: Option<&PartitionedGraph>,
-        config: &DistConfig,
-        max_restarts: usize,
-        resume: bool,
-        hub: Option<&TelemetryHub>,
-        mut elastic: Option<ElasticCtx>,
-    ) -> Result<RecoveryReport, DistError> {
-        let mut cfg = config.clone();
-        let mut restarts = 0usize;
-        let mut adoptions = 0usize;
-        let mut epochs_replayed = 0usize;
-        let mut failures = Vec::new();
-        // The elastic path owns its graph (it may rebuild it on every
-        // membership change); the fixed path borrows the caller's.
-        let mut owned_pg = elastic
-            .as_ref()
-            .map(|e| PartitionedGraph::build(&e.edges, &e.partitioning, cfg.seed));
-        let mut states = if resume {
-            load_newest_valid_checkpoint(cfg.checkpoint_dir.as_deref())
-        } else {
-            None
-        };
-        Self::reconcile_world(&mut cfg, &mut states, &mut elastic, &mut owned_pg);
-        loop {
-            let graph = owned_pg.as_ref().or(pg).expect("supervise needs a graph");
-            match Self::try_run_resumed(dataset, graph, &cfg, states.as_deref(), hub) {
-                Ok(run) => {
-                    let retries_absorbed =
-                        run.per_rank_comm.iter().map(|s| s.retries_attempted).sum();
-                    let backoff_barriers =
-                        run.per_rank_comm.iter().map(|s| s.backoff_barriers).sum();
-                    return Ok(RecoveryReport {
-                        run,
-                        restarts,
-                        epochs_replayed,
-                        retries_absorbed,
-                        backoff_barriers,
-                        failures,
-                        adoptions,
-                        final_world: cfg.num_parts,
-                    });
-                }
-                Err(err) => {
-                    // A fail-stop crash with adoption enabled shrinks
-                    // the world instead of restarting it: survivors
-                    // vote on a checkpoint, adopt the dead rank's
-                    // shard, and keep training at N−1. Not a restart —
-                    // the budget is untouched.
-                    if let (CommError::RankCrashed { rank }, Some(e)) =
-                        (&err.source, elastic.as_mut().filter(|_| cfg.adopt_on_crash))
-                    {
-                        let rank = *rank;
-                        if cfg.num_parts > 1 {
-                            if let Some(adopted) = Self::adoption_vote(
-                                cfg.num_parts - 1,
-                                cfg.checkpoint_dir.as_deref(),
-                            ) {
-                                let survivors = cfg.num_parts - 1;
-                                // Survivors keep their shards; only the
-                                // dead rank's edges move.
-                                e.partitioning =
-                                    reshard_remove_part(&e.edges, &e.partitioning, rank as PartId);
-                                let global = merge_cluster_state(&adopted).unwrap_or_else(|m| {
-                                    panic!("adopted checkpoint is inconsistent: {m}")
-                                });
-                                // Every membership change opens a new
-                                // generation so no old-world traffic
-                                // (restored outboxes) leaks in.
-                                let generation = global.generation + 1;
-                                states = Some(reshard_states(&global, survivors, generation));
-                                owned_pg =
-                                    Some(PartitionedGraph::build(&e.edges, &e.partitioning, cfg.seed));
-                                cfg.num_parts = survivors;
-                                cfg.generation = generation;
-                                cfg.faults = FaultPlan::none();
-                                adoptions += 1;
-                                let replayed = err.epoch.saturating_sub(global.epoch as usize);
-                                epochs_replayed += replayed;
-                                if let Some(h) = hub {
-                                    let live = cfg.num_parts.min(h.num_ranks());
-                                    for r in &h.recorders()[..live] {
-                                        r.counter(TraceCounter::Adoption, 1);
-                                        r.counter(TraceCounter::Replay, replayed as u64);
-                                    }
-                                }
-                                failures.push(err);
-                                continue;
-                            }
-                        }
-                    }
-                    if restarts >= max_restarts {
-                        return Err(err);
-                    }
-                    restarts += 1;
-                    // The fault plan modelled the failure of the *old*
-                    // cluster incarnation; the relaunched one starts
-                    // with a clean bill of health (epoch-keyed rules
-                    // would otherwise re-fire on every replay).
-                    cfg.faults = FaultPlan::none();
-                    states = load_newest_valid_checkpoint(cfg.checkpoint_dir.as_deref());
-                    // A restart right after an adoption can reload a
-                    // checkpoint the *pre*-shrink world wrote; the
-                    // elastic path re-shards it for the current size.
-                    Self::reconcile_world(&mut cfg, &mut states, &mut elastic, &mut owned_pg);
-                    let resume_epoch = states.as_ref().map_or(0, |s| s[0].epoch as usize);
-                    let replayed = err.epoch.saturating_sub(resume_epoch);
-                    epochs_replayed += replayed;
-                    if let Some(h) = hub {
-                        let live = cfg.num_parts.min(h.num_ranks());
-                        for r in &h.recorders()[..live] {
-                            r.counter(TraceCounter::Replay, replayed as u64);
-                        }
-                    }
-                    failures.push(err);
-                }
-            }
-        }
-    }
 
     /// Brings loaded checkpoint states and the world size into
     /// agreement before an attempt launches.
@@ -1022,12 +891,13 @@ impl DistTrainer {
     /// - Different size, fixed world: panic with the actionable
     ///   message (`--elastic-resume` is the way out).
     fn reconcile_world(
-        cfg: &mut DistConfig,
+        cfg: &mut Cow<'_, DistConfig>,
         states: &mut Option<Vec<TrainState>>,
         elastic: &mut Option<ElasticCtx>,
         owned_pg: &mut Option<PartitionedGraph>,
     ) {
         let Some(sts) = states.as_ref() else { return };
+        let cfg = cfg.to_mut();
         if sts.len() == cfg.num_parts {
             cfg.generation = sts[0].generation;
             return;
@@ -1360,7 +1230,8 @@ mod tests {
     fn replicas_stay_identical_across_ranks_all_modes() {
         let ds = tiny();
         for mode in [DistMode::Oc, DistMode::Cd0, DistMode::CdR { delay: 2 }] {
-            let r = DistTrainer::run(&ds, &cfg(&ds, mode, 3, 4));
+            let r = DistTrainer::launch(&ds, None, &cfg(&ds, mode, 3, 4), None)
+                .expect("distributed training failed");
             for p in 1..3 {
                 assert_eq!(
                     r.final_params[0], r.final_params[p],
@@ -1376,7 +1247,8 @@ mod tests {
         // first forward pass (before any update) must produce the same
         // global loss as the single-socket trainer.
         let ds = tiny();
-        let dist = DistTrainer::run(&ds, &cfg(&ds, DistMode::Cd0, 4, 1));
+        let dist = DistTrainer::launch(&ds, None, &cfg(&ds, DistMode::Cd0, 4, 1), None)
+            .expect("distributed training failed");
         let single_cfg = TrainerConfig {
             model: cfg(&ds, DistMode::Cd0, 4, 1).model,
             kernel: distgnn_kernels::AggregationConfig::baseline(),
@@ -1396,10 +1268,12 @@ mod tests {
     #[test]
     fn oc_avoids_all_clone_communication() {
         let ds = tiny();
-        let r = DistTrainer::run(&ds, &cfg(&ds, DistMode::Oc, 3, 2));
+        let r = DistTrainer::launch(&ds, None, &cfg(&ds, DistMode::Oc, 3, 2), None)
+            .expect("distributed training failed");
         // Gradient AllReduce still communicates; clone sync must not.
         // cd-0 on the same setup sends strictly more.
-        let r_cd0 = DistTrainer::run(&ds, &cfg(&ds, DistMode::Cd0, 3, 2));
+        let r_cd0 = DistTrainer::launch(&ds, None, &cfg(&ds, DistMode::Cd0, 3, 2), None)
+            .expect("distributed training failed");
         let sent_oc: u64 = r.per_rank_comm.iter().map(|s| s.bytes_sent).sum();
         let sent_cd0: u64 = r_cd0.per_rank_comm.iter().map(|s| s.bytes_sent).sum();
         assert!(sent_cd0 > sent_oc, "cd-0 {sent_cd0} vs 0c {sent_oc}");
@@ -1408,8 +1282,10 @@ mod tests {
     #[test]
     fn cdr_zero_delay_equals_cd0() {
         let ds = tiny();
-        let a = DistTrainer::run(&ds, &cfg(&ds, DistMode::CdR { delay: 0 }, 3, 3));
-        let b = DistTrainer::run(&ds, &cfg(&ds, DistMode::Cd0, 3, 3));
+        let a = DistTrainer::launch(&ds, None, &cfg(&ds, DistMode::CdR { delay: 0 }, 3, 3), None)
+            .expect("distributed training failed");
+        let b = DistTrainer::launch(&ds, None, &cfg(&ds, DistMode::Cd0, 3, 3), None)
+            .expect("distributed training failed");
         assert_eq!(a.final_params[0], b.final_params[0]);
         for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
             assert!((ea.loss - eb.loss).abs() < 1e-6);
@@ -1420,7 +1296,8 @@ mod tests {
     fn all_modes_learn_the_planted_labels() {
         let ds = tiny();
         for mode in [DistMode::Oc, DistMode::Cd0, DistMode::CdR { delay: 2 }] {
-            let r = DistTrainer::run(&ds, &cfg(&ds, mode, 2, 50));
+            let r = DistTrainer::launch(&ds, None, &cfg(&ds, mode, 2, 50), None)
+                .expect("distributed training failed");
             assert!(
                 r.test_accuracy > 0.75,
                 "{} accuracy {}",
@@ -1433,7 +1310,8 @@ mod tests {
     #[test]
     fn single_partition_distributed_equals_single_socket_exactly() {
         let ds = tiny();
-        let dist = DistTrainer::run(&ds, &cfg(&ds, DistMode::Cd0, 1, 3));
+        let dist = DistTrainer::launch(&ds, None, &cfg(&ds, DistMode::Cd0, 1, 3), None)
+            .expect("distributed training failed");
         let single_cfg = TrainerConfig {
             model: cfg(&ds, DistMode::Cd0, 1, 3).model,
             kernel: distgnn_kernels::AggregationConfig::optimized(1),
@@ -1451,9 +1329,9 @@ mod tests {
     fn telemetry_records_phases_without_perturbing_training() {
         let ds = tiny();
         let c = cfg(&ds, DistMode::CdR { delay: 1 }, 3, 4);
-        let plain = DistTrainer::try_run(&ds, &c).unwrap();
+        let plain = DistTrainer::launch(&ds, None, &c, None).unwrap();
         let hub = distgnn_telemetry::TelemetryHub::new(3, Default::default());
-        let recorded = DistTrainer::try_run_with_telemetry(&ds, &c, &hub).unwrap();
+        let recorded = DistTrainer::launch(&ds, None, &c, Some(&hub)).unwrap();
         // Bit-identical parameters: recording only reads the clock.
         assert_eq!(plain.final_params, recorded.final_params);
         let reg = build_metrics(&c, &recorded, &hub);
@@ -1482,11 +1360,13 @@ mod tests {
     fn overlapped_loop_matches_blocking_bit_for_bit() {
         let ds = tiny();
         for mode in [DistMode::Oc, DistMode::Cd0, DistMode::CdR { delay: 2 }] {
-            let blocking = DistTrainer::run(&ds, &cfg(&ds, mode, 3, 4));
+            let blocking = DistTrainer::launch(&ds, None, &cfg(&ds, mode, 3, 4), None)
+                .expect("distributed training failed");
             for pm in [ProgressMode::Polled, ProgressMode::Thread] {
                 let mut c = cfg(&ds, mode, 3, 4);
                 c.overlap = Some(pm);
-                let overlapped = DistTrainer::run(&ds, &c);
+                let overlapped = DistTrainer::launch(&ds, None, &c, None)
+                    .expect("distributed training failed");
                 assert_eq!(
                     blocking.final_params, overlapped.final_params,
                     "{} diverged under {pm:?} overlap",
@@ -1505,7 +1385,7 @@ mod tests {
         let mut c = cfg(&ds, DistMode::Cd0, 3, 3);
         c.overlap = Some(ProgressMode::Polled);
         let hub = distgnn_telemetry::TelemetryHub::new(3, Default::default());
-        let r = DistTrainer::try_run_with_telemetry(&ds, &c, &hub).unwrap();
+        let r = DistTrainer::launch(&ds, None, &c, Some(&hub)).unwrap();
         let reg = build_metrics(&c, &r, &hub);
         for rank in 0..3 {
             let m = reg.rank(rank);
@@ -1518,10 +1398,11 @@ mod tests {
             assert!(m.get(Metric::HandleWaitNs) > 0);
         }
         // The blocking loop must not touch handle counters.
-        let blocking = DistTrainer::try_run_with_telemetry(
+        let blocking = DistTrainer::launch(
             &ds,
+            None,
             &cfg(&ds, DistMode::Cd0, 3, 3),
-            &distgnn_telemetry::TelemetryHub::new(3, Default::default()),
+            Some(&distgnn_telemetry::TelemetryHub::new(3, Default::default())),
         )
         .unwrap();
         assert!(blocking.per_rank_comm.iter().all(|s| s.handle_ops_posted == 0));

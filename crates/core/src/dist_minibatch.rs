@@ -10,7 +10,7 @@
 use crate::minibatch::{MiniBatchTrainer, SamplerConfig};
 use crate::model::SageConfig;
 use distgnn_comm::stats::CommSnapshot;
-use distgnn_comm::Cluster;
+use distgnn_comm::{Cluster, FaultPlan};
 use distgnn_graph::Dataset;
 use std::time::{Duration, Instant};
 
@@ -55,7 +55,7 @@ pub fn run_dist_minibatch(
     let per_rank = shards.iter().map(Vec::len).max().unwrap_or(0);
     let rounds_per_epoch = per_rank.div_ceil(sampler.batch_size).max(1);
 
-    let (results, comm) = Cluster::run_with_stats(ranks, |ctx| {
+    let (results, comm) = Cluster::run_with(ranks, &FaultPlan::none(), None, 0, |ctx| {
         let me = ctx.rank();
         let shard = Dataset {
             train_mask: shards[me].clone(),

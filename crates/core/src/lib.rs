@@ -32,7 +32,6 @@ pub mod workmodel;
 
 pub use dist::{
     build_metrics, DistConfig, DistEpochReport, DistError, DistMode, DistRunReport, DistTrainer,
-    RecoveryReport,
 };
 pub use elastic::{merge_cluster_state, reshard_states, GlobalState};
 pub use model::{Aggregator, GraphSage, LayerWorkspace, SageConfig, SageWorkspace};

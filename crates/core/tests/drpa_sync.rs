@@ -6,7 +6,7 @@
 use distgnn_core::drpa::RankAggregator;
 use distgnn_core::model::Aggregator;
 use distgnn_core::DistMode;
-use distgnn_comm::{Cluster, WireCodec};
+use distgnn_comm::{Cluster, FaultPlan, WireCodec};
 use distgnn_graph::generators::erdos_renyi;
 use distgnn_graph::EdgeList;
 use distgnn_kernels::AggregationConfig;
@@ -90,7 +90,7 @@ fn take_times_resets_counters() {
 #[test]
 fn oc_never_touches_the_mailboxes() {
     let (_, pg) = two_rank_setup();
-    let (_, comm) = Cluster::run_with_stats(2, |ctx| {
+    let (_, comm) = Cluster::run_with(2, &FaultPlan::none(), None, 0, |ctx| {
         let h = Matrix::zeros(pg.parts[ctx.rank()].num_local_vertices(), 2);
         let mut agg = RankAggregator::new(ctx, &pg, DistMode::Oc, AggregationConfig::baseline());
         for e in 0..3 {
@@ -107,14 +107,14 @@ fn cdr_message_volume_is_one_bin_per_epoch() {
     let (_, pg) = two_rank_setup();
     let delay = 3;
     // Run exactly one epoch: only bin 0's leaves are sent.
-    let (_, comm_one) = Cluster::run_with_stats(2, |ctx| {
+    let (_, comm_one) = Cluster::run_with(2, &FaultPlan::none(), None, 0, |ctx| {
         let h = Matrix::zeros(pg.parts[ctx.rank()].num_local_vertices(), 4);
         let mut agg =
             RankAggregator::new(ctx, &pg, DistMode::CdR { delay }, AggregationConfig::baseline());
         agg.set_epoch(0);
         let _ = agg.forward(0, &h);
     });
-    let (_, comm_cd0) = Cluster::run_with_stats(2, |ctx| {
+    let (_, comm_cd0) = Cluster::run_with(2, &FaultPlan::none(), None, 0, |ctx| {
         let h = Matrix::zeros(pg.parts[ctx.rank()].num_local_vertices(), 4);
         let mut agg = RankAggregator::new(ctx, &pg, DistMode::Cd0, AggregationConfig::baseline());
         agg.set_epoch(0);

@@ -36,8 +36,7 @@ pub use async_writer::{AsyncCheckpointWriter, CheckpointWriterReport};
 pub use atomic::{atomic_write, crc32};
 pub use checkpoint::{
     encode_train_state, encode_train_state_mode, latest_checkpoint, list_checkpoints,
-    load_cluster_state, load_cluster_state_for, load_params, load_train_state,
-    save_cluster_manifest, save_params,
+    load_cluster_state, load_params, load_train_state, save_cluster_manifest, save_params,
     save_train_state, save_train_state_mode, CheckpointMode, DrpaState, PendingWire,
     RouteCacheState, TrainState,
 };

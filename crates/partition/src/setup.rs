@@ -241,8 +241,8 @@ mod tests {
                 partial[global as usize] += part.graph.degree(local as u32);
             }
         }
-        for v in 0..e.num_vertices() {
-            assert_eq!(partial[v], full.degree(v as u32), "vertex {v}");
+        for (v, &deg) in partial.iter().enumerate() {
+            assert_eq!(deg, full.degree(v as u32), "vertex {v}");
         }
     }
 

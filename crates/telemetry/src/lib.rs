@@ -129,7 +129,7 @@ impl Phase {
 
 /// One recorder per rank, shared with the cluster threads via `Arc`.
 ///
-/// The hub is created before `Cluster::run_with_telemetry` and read after
+/// The hub is created before `Cluster::run_with` and read after
 /// the run returns; the recorders themselves are `&self`-only (all-atomic),
 /// so the same `Arc` is cloned into each rank closure.
 pub struct TelemetryHub {

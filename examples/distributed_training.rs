@@ -31,7 +31,8 @@ fn main() {
 
     for mode in [DistMode::Cd0, DistMode::CdR { delay: 5 }, DistMode::Oc] {
         let config = DistConfig::new(&dataset, mode, sockets, epochs);
-        let report = DistTrainer::run(&dataset, &config);
+        let report = DistTrainer::launch(&dataset, None, &config, None)
+            .expect("distributed training failed");
         let sent: u64 = report.per_rank_comm.iter().map(|s| s.bytes_sent).sum();
         println!(
             "{:>6} | {:>8.2}% | {:>12.2} | {:>12.2} | {:>14.2}",

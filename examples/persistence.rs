@@ -38,7 +38,8 @@ fn main() {
         io::load_partitioning(&work.join("libra-4.part"), &loaded.graph.to_edge_list()).unwrap();
     let pg = PartitionedGraph::build(&loaded.graph.to_edge_list(), &loaded_part, 0xD157);
     let cfg = DistConfig::new(&loaded, DistMode::CdR { delay: 5 }, 4, 30);
-    let report = DistTrainer::run_on(&loaded, &pg, &cfg);
+    let report = DistTrainer::launch(&loaded, Some(&pg), &cfg, None)
+        .expect("distributed training failed");
     println!(
         "distributed run from disk: test accuracy {:.2}%",
         report.test_accuracy * 100.0
@@ -80,7 +81,8 @@ fn main() {
     chaos.checkpoint_every = 3;
     chaos.checkpoint_dir = Some(ckpt_root.clone());
     chaos.faults = FaultPlan::none().with_crash(1, 7);
-    let recovered = DistTrainer::try_run_recovering_on(&loaded, &pg, &chaos, 2, false)
+    chaos.max_restarts = 2;
+    let recovered = DistTrainer::launch(&loaded, Some(&pg), &chaos, None)
         .expect("the supervised run must recover");
     println!(
         "recovered run: {} restart(s), {} epoch(s) replayed",
@@ -93,7 +95,7 @@ fn main() {
     clean.checkpoint_dir = None;
     let reference = DistTrainer::try_run_on(&loaded, &pg, &clean).unwrap();
     assert_eq!(
-        recovered.run.final_params, reference.final_params,
+        recovered.final_params, reference.final_params,
         "kill-and-resume must be bit-identical to the uninterrupted run"
     );
     println!("recovered parameters are bit-identical to the uninterrupted run");

@@ -170,7 +170,7 @@ impl Pool {
             grain,
         };
 
-        let _submit_guard = self.submit.lock().unwrap();
+        let submit_guard = self.submit.lock().unwrap();
         {
             let mut guard = self.shared.state.lock().unwrap();
             guard.seq += 1;
@@ -187,6 +187,9 @@ impl Pool {
         }
         guard.job = None;
         drop(guard);
+        // Unwinding with the submit lock held would poison it, and every
+        // later dispatch in the process would panic on the poisoned lock.
+        drop(submit_guard);
 
         if panicked.load(Ordering::Relaxed) {
             resume_unwind(Box::new("parallel job panicked"));
@@ -203,8 +206,8 @@ mod tests {
         let n = 10_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         Pool::global().dispatch(n, 7, |s, e| {
-            for i in s..e {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+            for h in &hits[s..e] {
+                h.fetch_add(1, Ordering::Relaxed);
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -237,5 +240,11 @@ mod tests {
             });
         });
         assert!(res.is_err());
+        // The pool stays usable after a job panicked.
+        let sum = AtomicUsize::new(0);
+        Pool::global().dispatch(100, 1, |s, e| {
+            sum.fetch_add(e - s, Ordering::Relaxed);
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 100);
     }
 }

@@ -69,7 +69,7 @@ fn dist_grads(s: &Setup, faults: &FaultPlan) -> (Vec<Vec<f32>>, Vec<CommSnapshot
     let in_train: std::collections::HashSet<usize> = ds.train_mask.iter().copied().collect();
     let global_train = ds.train_mask.len() as f32;
 
-    Cluster::run_with_faults(k, faults, |ctx| {
+    Cluster::run_with(k, faults, None, 0, |ctx| {
         let part = &pg.parts[ctx.rank()];
         let idx: Vec<usize> = part.global_ids.iter().map(|&g| g as usize).collect();
         let features = ds.features.gather_rows(&idx);

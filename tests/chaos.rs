@@ -39,8 +39,10 @@ fn same_seed_chaos_runs_are_bit_identical() {
     for seed in [11u64, 23, 37, 41] {
         let plan = FaultPlan::none().with_seed(seed).with_drop(0.15).with_delay(0.2, 2);
         let cfg = chaos_cfg(&ds, DistMode::CdR { delay: 2 }, 3, 6, plan);
-        let a = DistTrainer::try_run(&ds, &cfg).expect("cd-r must survive drops + delays");
-        let b = DistTrainer::try_run(&ds, &cfg).expect("cd-r must survive drops + delays");
+        let a = DistTrainer::launch(&ds, None, &cfg, None)
+            .expect("cd-r must survive drops + delays");
+        let b = DistTrainer::launch(&ds, None, &cfg, None)
+            .expect("cd-r must survive drops + delays");
         assert_eq!(a.per_rank_comm, b.per_rank_comm, "seed {seed}: snapshots not reproducible");
         assert_eq!(a.final_params, b.final_params, "seed {seed}: training not reproducible");
         assert!(
@@ -62,7 +64,7 @@ fn cdr_staleness_bound_holds_fault_free() {
     let ds = am(0.3);
     let r = 3usize;
     let cfg = chaos_cfg(&ds, DistMode::CdR { delay: r }, 3, 4 * r, FaultPlan::none());
-    let report = DistTrainer::try_run(&ds, &cfg).expect("fault-free run");
+    let report = DistTrainer::launch(&ds, None, &cfg, None).expect("fault-free run");
     let samples: u64 = report.per_rank_comm.iter().map(|s| s.staleness_samples()).sum();
     assert!(samples > 0, "no remote partials were consumed — the test is vacuous");
     for (p, s) in report.per_rank_comm.iter().enumerate() {
@@ -88,7 +90,8 @@ proptest! {
         let r = 2usize;
         let plan = FaultPlan::none().with_seed(seed).with_delay(0.5, 2);
         let cfg = chaos_cfg(&ds, DistMode::CdR { delay: r }, 2, 10, plan);
-        let report = DistTrainer::try_run(&ds, &cfg).expect("delays alone cannot abort cd-r");
+        let report = DistTrainer::launch(&ds, None, &cfg, None)
+            .expect("delays alone cannot abort cd-r");
         for s in &report.per_rank_comm {
             prop_assert!(s.max_staleness <= 2 * r as u64,
                 "max staleness {} exceeds 2r = {}", s.max_staleness, 2 * r);
@@ -106,7 +109,7 @@ fn cdr_drop_violations_match_histogram() {
     let r = 2usize;
     let plan = FaultPlan::none().with_seed(7).with_drop(0.3);
     let cfg = chaos_cfg(&ds, DistMode::CdR { delay: r }, 3, 12, plan);
-    let report = DistTrainer::try_run(&ds, &cfg).expect("cd-r must survive drops");
+    let report = DistTrainer::launch(&ds, None, &cfg, None).expect("cd-r must survive drops");
     assert!(report.per_rank_comm.iter().any(|s| s.messages_dropped > 0));
     for (p, s) in report.per_rank_comm.iter().enumerate() {
         // 12 epochs bounds ages far below the saturating bucket, so the
@@ -133,7 +136,7 @@ fn cdr_converges_under_drop_faults() {
     let ds = am(0.3);
     let plan = FaultPlan::none().with_seed(13).with_drop(0.2);
     let cfg = chaos_cfg(&ds, DistMode::CdR { delay: 2 }, 2, 40, plan);
-    let report = DistTrainer::try_run(&ds, &cfg).expect("no deadlock, no panic");
+    let report = DistTrainer::launch(&ds, None, &cfg, None).expect("no deadlock, no panic");
     assert_eq!(report.epochs.len(), 40, "training must run to completion");
     let window_means: Vec<f32> = report
         .epochs
@@ -156,7 +159,8 @@ fn cd0_stall_returns_structured_error() {
     let ds = am(0.2);
     let plan = FaultPlan::none().with_seed(5).with_stall(1, 1, 1);
     let cfg = chaos_cfg(&ds, DistMode::Cd0, 3, 4, plan);
-    let err = DistTrainer::try_run(&ds, &cfg).expect_err("missing payloads must abort cd-0");
+    let err = DistTrainer::launch(&ds, None, &cfg, None)
+        .expect_err("missing payloads must abort cd-0");
     assert_eq!(err.epoch, 1, "the stall window starts at epoch 1");
     assert!(
         matches!(err.source, CommError::MissingPayload { src: 1, .. }),
@@ -174,7 +178,7 @@ fn cdr_tolerates_rank_stall() {
     let ds = am(0.2);
     let plan = FaultPlan::none().with_seed(3).with_stall(1, 2, 2);
     let cfg = chaos_cfg(&ds, DistMode::CdR { delay: 2 }, 3, 10, plan);
-    let report = DistTrainer::try_run(&ds, &cfg).expect("cd-r tolerates a stalled rank");
+    let report = DistTrainer::launch(&ds, None, &cfg, None).expect("cd-r tolerates a stalled rank");
     assert_eq!(report.epochs.len(), 10);
     assert!(report.epochs.iter().all(|e| e.loss.is_finite()));
     assert!(

@@ -45,14 +45,15 @@ fn total_sent(report: &distgnn_suite::core::dist::DistRunReport) -> (u64, u64) {
 #[test]
 fn cd0_lossy_codecs_converge_within_epsilon() {
     let ds = reddit(0.25);
-    let base = DistTrainer::run(&ds, &cfg(&ds, DistMode::Cd0, 60));
+    let base = DistTrainer::launch(&ds, None, &cfg(&ds, DistMode::Cd0, 60), None)
+        .expect("distributed training failed");
     assert!(base.test_accuracy > 0.7, "baseline must learn: {}", base.test_accuracy);
     let (bw, bl) = total_sent(&base);
     assert_eq!(bw, bl, "uncompressed wire and logical volumes must agree");
     for codec in lossy_codecs() {
         let mut c = cfg(&ds, DistMode::Cd0, 60);
         c.codec = codec;
-        let r = DistTrainer::run(&ds, &c);
+        let r = DistTrainer::launch(&ds, None, &c, None).expect("distributed training failed");
         assert!(
             (r.test_accuracy - base.test_accuracy).abs() < 0.05,
             "{}: accuracy {} vs uncompressed {}",
@@ -77,12 +78,13 @@ fn cd0_lossy_codecs_converge_within_epsilon() {
 #[test]
 fn cdr_lossy_codecs_converge_within_epsilon() {
     let ds = reddit(0.25);
-    let base = DistTrainer::run(&ds, &cfg(&ds, DistMode::CdR { delay: 2 }, 60));
+    let base = DistTrainer::launch(&ds, None, &cfg(&ds, DistMode::CdR { delay: 2 }, 60), None)
+        .expect("distributed training failed");
     assert!(base.test_accuracy > 0.7, "baseline must learn: {}", base.test_accuracy);
     for codec in lossy_codecs() {
         let mut c = cfg(&ds, DistMode::CdR { delay: 2 }, 60);
         c.codec = codec;
-        let r = DistTrainer::run(&ds, &c);
+        let r = DistTrainer::launch(&ds, None, &c, None).expect("distributed training failed");
         assert!(
             (r.test_accuracy - base.test_accuracy).abs() < 0.05,
             "{}: accuracy {} vs uncompressed {}",
@@ -109,8 +111,9 @@ fn error_feedback_beats_naive_truncation_at_equal_bitrate() {
     let mut naive_cfg = ef_cfg.clone();
     naive_cfg.error_feedback = false;
 
-    let ef = DistTrainer::run(&ds, &ef_cfg);
-    let naive = DistTrainer::run(&ds, &naive_cfg);
+    let ef = DistTrainer::launch(&ds, None, &ef_cfg, None).expect("distributed training failed");
+    let naive = DistTrainer::launch(&ds, None, &naive_cfg, None)
+        .expect("distributed training failed");
     let (ef_wire, _) = total_sent(&ef);
     let (naive_wire, _) = total_sent(&naive);
     assert_eq!(ef_wire, naive_wire, "equal bitrate: same codec, same wire bytes");
@@ -158,8 +161,8 @@ fn compress_none_is_bit_identical_to_the_uncompressed_loop() {
         let mut none = plain.clone();
         none.codec = WireCodec::None;
 
-        let a = DistTrainer::run(&ds, &plain);
-        let b = DistTrainer::run(&ds, &none);
+        let a = DistTrainer::launch(&ds, None, &plain, None).expect("distributed training failed");
+        let b = DistTrainer::launch(&ds, None, &none, None).expect("distributed training failed");
         assert_eq!(a.final_params, b.final_params, "overlap={overlap:?}");
         for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
             assert_eq!(ea.loss.to_bits(), eb.loss.to_bits(), "overlap={overlap:?}");
@@ -181,7 +184,7 @@ fn compressed_replicas_stay_identical_across_ranks() {
         for codec in lossy_codecs() {
             let mut c = cfg(&ds, mode, 5);
             c.codec = codec;
-            let r = DistTrainer::run(&ds, &c);
+            let r = DistTrainer::launch(&ds, None, &c, None).expect("distributed training failed");
             for p in 1..3 {
                 assert_eq!(
                     r.final_params[0],
@@ -207,8 +210,8 @@ fn overlapped_loop_composes_with_compression() {
     base.overlap = Some(distgnn_suite::comm::ProgressMode::Polled);
     c.overlap = Some(distgnn_suite::comm::ProgressMode::Polled);
     c.codec = WireCodec::TopK { percent: 10 };
-    let b = DistTrainer::run(&ds, &base);
-    let r = DistTrainer::run(&ds, &c);
+    let b = DistTrainer::launch(&ds, None, &base, None).expect("distributed training failed");
+    let r = DistTrainer::launch(&ds, None, &c, None).expect("distributed training failed");
     assert_eq!(r.final_params[0], r.final_params[1]);
     assert!(
         (r.test_accuracy - b.test_accuracy).abs() < 0.05,

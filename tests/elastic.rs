@@ -21,7 +21,9 @@ use distgnn_suite::comm::{CommError, FaultPlan};
 use distgnn_suite::core::dist::{DistConfig, DistMode, DistTrainer};
 use distgnn_suite::core::{merge_cluster_state, reshard_states};
 use distgnn_suite::graph::{Dataset, ScaledConfig};
-use distgnn_suite::io::{list_checkpoints, load_cluster_state};
+use distgnn_suite::io::{
+    list_checkpoints, load_cluster_state, save_cluster_manifest, save_train_state,
+};
 use distgnn_suite::partition::{libra_partition, reshard_partitioning, PartitionedGraph};
 use std::path::PathBuf;
 
@@ -52,26 +54,28 @@ fn resize_resume_accuracy(
     let mut cfg = DistConfig::new(ds, mode, 8, stop);
     cfg.checkpoint_every = stop;
     cfg.checkpoint_dir = Some(dir.clone());
-    DistTrainer::try_run(ds, &cfg).expect("8-socket prefix run");
+    DistTrainer::launch(ds, None, &cfg, None).expect("8-socket prefix run");
 
     let mut cont = cfg.clone();
     cont.num_parts = new_world;
     cont.epochs = epochs;
     cont.checkpoint_every = 0;
     cont.elastic_resume = true;
-    let rec = DistTrainer::try_run_elastic(ds, &cont, 0, true)
+    cont.resume = true;
+    let rec = DistTrainer::launch(ds, None, &cont, None)
         .expect("elastic resume on the new world size");
     assert_eq!(rec.restarts, 0);
     assert_eq!(rec.adoptions, 0);
     assert_eq!(rec.final_world, new_world);
-    assert_eq!(rec.run.final_params.len(), new_world, "one replica per new rank");
-    assert_eq!(rec.run.epochs.len(), epochs - stop, "resume must pick up at the checkpoint");
+    assert_eq!(rec.final_params.len(), new_world, "one replica per new rank");
+    assert_eq!(rec.epochs.len(), epochs - stop, "resume must pick up at the checkpoint");
 
     let mut clean = DistConfig::new(ds, mode, 8, epochs);
     clean.seed = cfg.seed;
-    let reference = DistTrainer::try_run(ds, &clean).expect("uninterrupted 8-socket run");
+    let reference = DistTrainer::launch(ds, None, &clean, None)
+        .expect("uninterrupted 8-socket run");
     std::fs::remove_dir_all(&dir).ok();
-    (rec.run.test_accuracy, reference.test_accuracy)
+    (rec.test_accuracy, reference.test_accuracy)
 }
 
 /// Headline: an 8-socket cd-0 checkpoint resumed on 4 sockets finishes
@@ -124,7 +128,7 @@ fn cd0_resize_resume_is_bit_identical_to_fresh_run_from_merged_state() {
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 8, stop);
     cfg.checkpoint_every = stop;
     cfg.checkpoint_dir = Some(dir.clone());
-    DistTrainer::try_run(&ds, &cfg).expect("8-socket prefix run");
+    DistTrainer::launch(&ds, None, &cfg, None).expect("8-socket prefix run");
 
     // The supervised elastic resume.
     let mut cont = cfg.clone();
@@ -132,13 +136,15 @@ fn cd0_resize_resume_is_bit_identical_to_fresh_run_from_merged_state() {
     cont.epochs = epochs;
     cont.checkpoint_every = 0;
     cont.elastic_resume = true;
-    let rec = DistTrainer::try_run_elastic(&ds, &cont, 0, true).expect("elastic resume");
-    assert_eq!(rec.run.epochs.len(), epochs - stop);
+    cont.resume = true;
+    let rec = DistTrainer::launch(&ds, None, &cont, None).expect("elastic resume");
+    assert_eq!(rec.epochs.len(), epochs - stop);
 
     // The hand-built twin: merge the checkpoint, re-shard the cut the
     // way the supervisor does, and run the remaining epochs as a fresh
-    // M-rank world from the merged state (epoch numbering is
-    // irrelevant to cd-0's per-epoch computation).
+    // fixed-size M-rank world resumed from the merged state, seeded as
+    // a lossless `ckpt-0` (epoch numbering is irrelevant to cd-0's
+    // per-epoch computation).
     let states = load_cluster_state(&dir.join(format!("ckpt-{stop}"))).unwrap();
     let global = merge_cluster_state(&states).unwrap();
     assert_eq!(global.from_ranks, 8);
@@ -150,17 +156,25 @@ fn cd0_resize_resume_is_bit_identical_to_fresh_run_from_merged_state() {
     for s in &mut seeds {
         s.epoch = 0;
     }
+    let seed_dir = scratch("bitident-seed");
+    let ckpt0 = seed_dir.join("ckpt-0");
+    std::fs::create_dir_all(&ckpt0).unwrap();
+    for s in &seeds {
+        save_train_state(&ckpt0.join(format!("rank-{}.state", s.rank)), s).unwrap();
+    }
+    save_cluster_manifest(&ckpt0, 0, new_world).unwrap();
     let mut fresh = cont.clone();
     fresh.epochs = epochs - stop;
-    fresh.checkpoint_dir = None;
-    fresh.generation = global.generation + 1;
-    let twin = DistTrainer::try_run_on_resumed(&ds, &pg, &fresh, &seeds).expect("twin run");
+    fresh.checkpoint_dir = Some(seed_dir.clone());
+    fresh.elastic_resume = false;
+    let twin = DistTrainer::launch(&ds, Some(&pg), &fresh, None).expect("twin run");
 
     assert_eq!(
-        rec.run.final_params, twin.final_params,
+        rec.final_params, twin.final_params,
         "cd-0 resize-resume must equal the fresh merged-state run bit for bit"
     );
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&seed_dir).ok();
 }
 
 /// Headline shrink-on-crash: rank 2 of 4 fail-stops at epoch 3. With
@@ -177,12 +191,12 @@ fn adoption_completes_at_n_minus_1_with_zero_restarts() {
     cfg.faults = FaultPlan::none().with_crash(2, 3);
     cfg.adopt_on_crash = true;
 
-    let rec = DistTrainer::try_run_elastic(&ds, &cfg, 0, false)
+    let rec = DistTrainer::launch(&ds, None, &cfg, None)
         .expect("adoption must absorb the crash without spending a restart");
     assert_eq!(rec.restarts, 0, "adoption is a membership change, not a restart");
     assert_eq!(rec.adoptions, 1);
     assert_eq!(rec.final_world, 3);
-    assert_eq!(rec.run.final_params.len(), 3, "the dead rank must be gone");
+    assert_eq!(rec.final_params.len(), 3, "the dead rank must be gone");
     assert_eq!(rec.failures.len(), 1);
     assert!(
         matches!(rec.failures[0].source, CommError::RankCrashed { rank: 2 }),
@@ -191,7 +205,7 @@ fn adoption_completes_at_n_minus_1_with_zero_restarts() {
     );
     // Crash at 3, adopted from ckpt-2: exactly epoch 2 is re-executed.
     assert_eq!(rec.epochs_replayed, 1);
-    assert_eq!(rec.run.epochs.len(), 6, "the shrunk world runs epochs 2..8");
+    assert_eq!(rec.epochs.len(), 6, "the shrunk world runs epochs 2..8");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -204,13 +218,15 @@ fn elastic_resume_on_empty_checkpoint_dir_starts_fresh() {
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 3, 6);
     cfg.checkpoint_dir = Some(dir.clone());
     cfg.elastic_resume = true;
-    let rec = DistTrainer::try_run_elastic(&ds, &cfg, 0, true)
+    cfg.resume = true;
+    let rec = DistTrainer::launch(&ds, None, &cfg, None)
         .expect("an empty directory must mean a fresh start, not an error");
-    assert_eq!(rec.run.epochs.len(), 6, "nothing to resume: every epoch runs");
+    assert_eq!(rec.epochs.len(), 6, "nothing to resume: every epoch runs");
     assert_eq!(rec.final_world, 3);
 
-    let plain = DistTrainer::try_run(&ds, &DistConfig::new(&ds, DistMode::Cd0, 3, 6)).unwrap();
-    assert_eq!(rec.run.final_params, plain.final_params);
+    let plain = DistTrainer::launch(&ds, None, &DistConfig::new(&ds, DistMode::Cd0, 3, 6), None)
+        .unwrap();
+    assert_eq!(rec.final_params, plain.final_params);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -224,7 +240,7 @@ fn partial_rank_file_set_falls_back_to_previous_checkpoint() {
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 4, 8);
     cfg.checkpoint_every = 2;
     cfg.checkpoint_dir = Some(dir.clone());
-    DistTrainer::try_run(&ds, &cfg).expect("4-socket prefix run");
+    DistTrainer::launch(&ds, None, &cfg, None).expect("4-socket prefix run");
 
     let ckpts = list_checkpoints(&dir);
     assert_eq!(ckpts.iter().map(|(e, _)| *e).collect::<Vec<_>>(), vec![2, 4, 6, 8]);
@@ -235,11 +251,12 @@ fn partial_rank_file_set_falls_back_to_previous_checkpoint() {
     cont.epochs = 12;
     cont.checkpoint_every = 0;
     cont.elastic_resume = true;
-    let rec = DistTrainer::try_run_elastic(&ds, &cont, 0, true)
+    cont.resume = true;
+    let rec = DistTrainer::launch(&ds, None, &cont, None)
         .expect("the incomplete ckpt-8 must not poison the resume");
     assert_eq!(rec.final_world, 2);
     assert_eq!(
-        rec.run.epochs.len(),
+        rec.epochs.len(),
         6,
         "resume should replay from ckpt-6 — neither trusting the torn ckpt-8 nor starting over"
     );
@@ -272,7 +289,7 @@ fn adoption_skips_staging_leftovers_and_torn_snapshots() {
     std::fs::create_dir_all(&torn).unwrap();
     std::fs::write(torn.join("MANIFEST"), b"not a manifest").unwrap();
 
-    let rec = DistTrainer::try_run_elastic(&ds, &cfg, 0, false)
+    let rec = DistTrainer::launch(&ds, None, &cfg, None)
         .expect("the staging junk must not block adoption");
     assert_eq!(rec.restarts, 0);
     assert_eq!(rec.adoptions, 1);
@@ -292,12 +309,13 @@ fn fixed_world_resume_names_the_mismatch_and_the_flag() {
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 4, 4);
     cfg.checkpoint_every = 2;
     cfg.checkpoint_dir = Some(dir.clone());
-    DistTrainer::try_run(&ds, &cfg).expect("4-socket prefix run");
+    DistTrainer::launch(&ds, None, &cfg, None).expect("4-socket prefix run");
 
     let mut cont = cfg.clone();
     cont.num_parts = 2;
+    cont.resume = true;
     let msg = std::panic::catch_unwind(|| {
-        let _ = DistTrainer::try_run_recovering(&ds, &cont, 0, true);
+        let _ = DistTrainer::launch(&ds, None, &cont, None);
     })
     .expect_err("the fixed-world path must refuse a 4-rank checkpoint at 2 ranks");
     let msg = msg
@@ -309,4 +327,25 @@ fn fixed_world_resume_names_the_mismatch_and_the_flag() {
     assert!(msg.contains("2 ranks"), "should name the requested world size: {msg}");
     assert!(msg.contains("--elastic-resume"), "should point at the flag: {msg}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The elastic supervisor cuts (and on every membership change re-cuts)
+/// its own graph, so `launch` refuses a caller-built cut together with
+/// either elastic flag, naming the flag.
+#[test]
+fn elastic_flags_refuse_a_caller_built_cut() {
+    let ds = am(0.1);
+    let edges = ds.graph.to_edge_list();
+    let pg = PartitionedGraph::build(&edges, &libra_partition(&edges, 2), 0);
+    for flag in ["elastic_resume", "adopt_on_crash"] {
+        let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 2, 1);
+        cfg.elastic_resume = flag == "elastic_resume";
+        cfg.adopt_on_crash = flag == "adopt_on_crash";
+        let msg = std::panic::catch_unwind(|| {
+            let _ = DistTrainer::launch(&ds, Some(&pg), &cfg, None);
+        })
+        .expect_err("a caller-built cut must be refused under an elastic flag");
+        let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains(flag), "should name `{flag}`: {msg}");
+    }
 }

@@ -48,7 +48,7 @@ fn distributed_modes_stay_near_single_socket_accuracy() {
         (DistMode::Oc, 0.12),
     ] {
         let cfg = DistConfig::new(&ds, mode, 4, epochs);
-        let r = DistTrainer::run(&ds, &cfg);
+        let r = DistTrainer::launch(&ds, None, &cfg, None).expect("distributed training failed");
         assert!(
             (r.test_accuracy - single.test_accuracy).abs() < tol,
             "{}: {} vs single {}",
@@ -65,8 +65,8 @@ fn whole_pipeline_is_deterministic() {
     let ds2 = tiny();
     assert_eq!(ds1.graph, ds2.graph);
     let cfg = DistConfig::new(&ds1, DistMode::Cd0, 3, 5);
-    let a = DistTrainer::run(&ds1, &cfg);
-    let b = DistTrainer::run(&ds2, &cfg);
+    let a = DistTrainer::launch(&ds1, None, &cfg, None).expect("distributed training failed");
+    let b = DistTrainer::launch(&ds2, None, &cfg, None).expect("distributed training failed");
     assert_eq!(a.final_params[0], b.final_params[0]);
     for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
         assert_eq!(ea.loss, eb.loss);
@@ -81,7 +81,7 @@ fn communication_ordering_cd0_gt_cdr_gt_oc() {
     let epochs = 12;
     let sent = |mode| {
         let cfg = DistConfig::new(&ds, mode, 4, epochs);
-        let r = DistTrainer::run(&ds, &cfg);
+        let r = DistTrainer::launch(&ds, None, &cfg, None).expect("distributed training failed");
         r.per_rank_comm.iter().map(|s| s.bytes_sent).sum::<u64>()
     };
     let cd0 = sent(DistMode::Cd0);
@@ -96,7 +96,7 @@ fn partition_count_does_not_break_training() {
     let ds = tiny();
     for k in [1usize, 2, 3, 5, 8] {
         let cfg = DistConfig::new(&ds, DistMode::Cd0, k, 3);
-        let r = DistTrainer::run(&ds, &cfg);
+        let r = DistTrainer::launch(&ds, None, &cfg, None).expect("distributed training failed");
         assert_eq!(r.epochs.len(), 3, "k = {k}");
         assert!(r.epochs.iter().all(|e| e.loss.is_finite()), "k = {k}");
     }

@@ -39,9 +39,10 @@ fn overlapped_loop_is_bit_identical_for_all_algorithms() {
     let ds = am(0.2);
     for mode in [DistMode::Oc, DistMode::Cd0, DistMode::CdR { delay: 2 }] {
         let cfg = DistConfig::new(&ds, mode, 3, 8);
-        let blocking = DistTrainer::try_run(&ds, &cfg).expect("blocking run");
+        let blocking = DistTrainer::launch(&ds, None, &cfg, None).expect("blocking run");
         for pm in [ProgressMode::Polled, ProgressMode::Thread] {
-            let run = DistTrainer::try_run(&ds, &overlapped(&cfg, pm)).expect("overlapped run");
+            let run = DistTrainer::launch(&ds, None, &overlapped(&cfg, pm), None)
+                .expect("overlapped run");
             assert_eq!(
                 blocking.final_params, run.final_params,
                 "{} diverged under {pm:?} overlap",
@@ -65,8 +66,9 @@ fn overlapped_loop_is_bit_identical_for_all_algorithms() {
 fn overlap_accounts_handles_without_changing_wire_volume() {
     let ds = am(0.2);
     let cfg = DistConfig::new(&ds, DistMode::Cd0, 3, 6);
-    let blocking = DistTrainer::try_run(&ds, &cfg).unwrap();
-    let run = DistTrainer::try_run(&ds, &overlapped(&cfg, ProgressMode::Polled)).unwrap();
+    let blocking = DistTrainer::launch(&ds, None, &cfg, None).unwrap();
+    let run = DistTrainer::launch(&ds, None, &overlapped(&cfg, ProgressMode::Polled), None)
+        .unwrap();
     for (b, o) in blocking.per_rank_comm.iter().zip(&run.per_rank_comm) {
         assert_eq!(b.handle_ops_posted, 0, "blocking loop must not post handles");
         assert!(o.handle_ops_posted > 0, "overlapped loop must post handles");
@@ -85,10 +87,11 @@ fn overlap_under_drop_faults_matches_blocking_chaos() {
     let ds = am(0.2);
     let mut cfg = DistConfig::new(&ds, DistMode::CdR { delay: 2 }, 3, 10);
     cfg.faults = FaultPlan::none().with_seed(23).with_drop(0.2);
-    let blocking = DistTrainer::try_run(&ds, &cfg).expect("cd-r survives drops");
+    let blocking = DistTrainer::launch(&ds, None, &cfg, None).expect("cd-r survives drops");
     assert!(blocking.per_rank_comm.iter().any(|s| s.messages_dropped > 0));
     for pm in [ProgressMode::Polled, ProgressMode::Thread] {
-        let run = DistTrainer::try_run(&ds, &overlapped(&cfg, pm)).expect("overlapped chaos run");
+        let run = DistTrainer::launch(&ds, None, &overlapped(&cfg, pm), None)
+            .expect("overlapped chaos run");
         assert_eq!(
             blocking.final_params, run.final_params,
             "drop-fault trajectory diverged under {pm:?} overlap"
@@ -108,9 +111,9 @@ fn overlap_under_delay_faults_matches_blocking_retries() {
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 3, 4);
     cfg.faults = FaultPlan::none().with_seed(17).with_delay(1.0, 3);
     cfg.retry = RetryPolicy::standard();
-    let blocking = DistTrainer::try_run(&ds, &cfg).expect("retries absorb the delay");
+    let blocking = DistTrainer::launch(&ds, None, &cfg, None).expect("retries absorb the delay");
     assert!(blocking.per_rank_comm.iter().any(|s| s.retries_attempted > 0));
-    let run = DistTrainer::try_run(&ds, &overlapped(&cfg, ProgressMode::Polled))
+    let run = DistTrainer::launch(&ds, None, &overlapped(&cfg, ProgressMode::Polled), None)
         .expect("overlapped run absorbs the same delay");
     assert_eq!(blocking.final_params, run.final_params);
     for (b, o) in blocking.per_rank_comm.iter().zip(&run.per_rank_comm) {
@@ -131,11 +134,11 @@ fn async_checkpoints_match_blocking_checkpoints_bit_for_bit() {
     let mut cfg = DistConfig::new(&ds, DistMode::CdR { delay: 2 }, 3, 9);
     cfg.checkpoint_every = 3;
     cfg.checkpoint_dir = Some(dir_a.clone());
-    DistTrainer::try_run(&ds, &cfg).unwrap();
+    DistTrainer::launch(&ds, None, &cfg, None).unwrap();
 
     let mut over = overlapped(&cfg, ProgressMode::Polled);
     over.checkpoint_dir = Some(dir_b.clone());
-    DistTrainer::try_run(&ds, &over).unwrap();
+    DistTrainer::launch(&ds, None, &over, None).unwrap();
 
     let epochs_a: Vec<u64> = list_checkpoints(&dir_a).iter().map(|(e, _)| *e).collect();
     let epochs_b: Vec<u64> = list_checkpoints(&dir_b).iter().map(|(e, _)| *e).collect();
@@ -167,17 +170,18 @@ fn overlapped_kill_and_resume_is_bit_identical() {
         chaos.checkpoint_every = 3;
         chaos.checkpoint_dir = Some(dir.clone());
         chaos.faults = FaultPlan::none().with_crash(1, 7);
+        chaos.max_restarts = 1;
 
-        let rec = DistTrainer::try_run_recovering(&ds, &chaos, 1, false)
+        let rec = DistTrainer::launch(&ds, None, &chaos, None)
             .expect("one restart must absorb the crash");
         assert_eq!(rec.restarts, 1);
         assert_eq!(rec.epochs_replayed, 1, "ckpt-6 must exist: only epoch 6 replays");
 
         let mut clean = DistConfig::new(&ds, DistMode::CdR { delay: 2 }, 3, 12);
         clean.faults = FaultPlan::none();
-        let reference = DistTrainer::try_run(&ds, &clean).expect("blocking reference");
+        let reference = DistTrainer::launch(&ds, None, &clean, None).expect("blocking reference");
         assert_eq!(
-            rec.run.final_params, reference.final_params,
+            rec.final_params, reference.final_params,
             "overlapped kill-and-resume under {pm:?} must match the blocking run"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -52,8 +52,9 @@ fn cd0_kill_and_resume_is_bit_identical() {
     chaos.checkpoint_every = 3;
     chaos.checkpoint_dir = Some(dir.clone());
     chaos.faults = FaultPlan::none().with_crash(1, 7);
+    chaos.max_restarts = 1;
 
-    let rec = DistTrainer::try_run_recovering(&ds, &chaos, 1, false)
+    let rec = DistTrainer::launch(&ds, None, &chaos, None)
         .expect("one restart must absorb a single fail-stop crash");
     assert_eq!(rec.restarts, 1, "the crash must cost exactly one restart");
     assert_eq!(rec.failures.len(), 1);
@@ -65,9 +66,10 @@ fn cd0_kill_and_resume_is_bit_identical() {
     // Crash at 7, checkpoint at 6: exactly epoch 6 is re-executed.
     assert_eq!(rec.epochs_replayed, 1);
 
-    let reference = DistTrainer::try_run(&ds, &reference_of(&chaos)).expect("fault-free reference");
+    let reference = DistTrainer::launch(&ds, None, &reference_of(&chaos), None)
+        .expect("fault-free reference");
     assert_eq!(
-        rec.run.final_params, reference.final_params,
+        rec.final_params, reference.final_params,
         "kill-and-resume must be bit-identical to the uninterrupted run"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -84,16 +86,18 @@ fn cdr_kill_and_resume_is_bit_identical() {
     chaos.checkpoint_every = 3;
     chaos.checkpoint_dir = Some(dir.clone());
     chaos.faults = FaultPlan::none().with_crash(2, 8);
+    chaos.max_restarts = 1;
 
-    let rec = DistTrainer::try_run_recovering(&ds, &chaos, 1, false)
+    let rec = DistTrainer::launch(&ds, None, &chaos, None)
         .expect("one restart must absorb a single fail-stop crash");
     assert_eq!(rec.restarts, 1);
     // Crash at 8, checkpoint at 6: epochs 6 and 7 are re-executed.
     assert_eq!(rec.epochs_replayed, 2);
 
-    let reference = DistTrainer::try_run(&ds, &reference_of(&chaos)).expect("fault-free reference");
+    let reference = DistTrainer::launch(&ds, None, &reference_of(&chaos), None)
+        .expect("fault-free reference");
     assert_eq!(
-        rec.run.final_params, reference.final_params,
+        rec.final_params, reference.final_params,
         "cd-r resume must restore route caches + outbox bit-exactly"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -111,11 +115,11 @@ fn transient_delay_absorbed_by_retry() {
 
     let mut bare = cfg.clone();
     bare.retry = RetryPolicy::none();
-    DistTrainer::try_run(&ds, &bare)
+    DistTrainer::launch(&ds, None, &bare, None)
         .expect_err("with retries off, the delayed payloads must abort cd-0");
 
     cfg.retry = RetryPolicy::standard();
-    let rec = DistTrainer::try_run_recovering(&ds, &cfg, 0, false)
+    let rec = DistTrainer::launch(&ds, None, &cfg, None)
         .expect("the standard retry ladder must bridge a 3-barrier delay");
     assert_eq!(rec.restarts, 0, "a transient fault must not cost a restart");
     assert!(rec.retries_absorbed > 0, "the ladder should have fired");
@@ -132,7 +136,7 @@ fn corrupt_checkpoint_falls_back_to_previous() {
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 3, 8);
     cfg.checkpoint_every = 2;
     cfg.checkpoint_dir = Some(dir.clone());
-    let first = DistTrainer::try_run(&ds, &cfg).expect("fault-free checkpointing run");
+    let first = DistTrainer::launch(&ds, None, &cfg, None).expect("fault-free checkpointing run");
 
     let ckpts = list_checkpoints(&dir);
     assert_eq!(
@@ -147,18 +151,19 @@ fn corrupt_checkpoint_falls_back_to_previous() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&victim, bytes).unwrap();
+    cfg.resume = true;
 
-    let rec = DistTrainer::try_run_recovering(&ds, &cfg, 0, true)
+    let rec = DistTrainer::launch(&ds, None, &cfg, None)
         .expect("resume must fall back to ckpt-6");
     assert_eq!(rec.restarts, 0);
     assert_eq!(
-        rec.run.epochs.len(),
+        rec.epochs.len(),
         2,
         "resume should replay exactly epochs 6 and 7 from ckpt-6 — \
          neither 0 (trusting the corrupt ckpt-8) nor 8 (starting over)"
     );
     assert_eq!(
-        rec.run.final_params, first.final_params,
+        rec.final_params, first.final_params,
         "replay from the fallback checkpoint must reproduce the run"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -171,7 +176,7 @@ fn restart_budget_exhaustion_surfaces_the_error() {
     let ds = am(0.15);
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 2, 6);
     cfg.faults = FaultPlan::none().with_crash(0, 3);
-    let err = DistTrainer::try_run_recovering(&ds, &cfg, 0, false)
+    let err = DistTrainer::launch(&ds, None, &cfg, None)
         .expect_err("zero restart budget: the crash must surface");
     assert_eq!(err.epoch, 3, "the error should carry the crash epoch");
     assert!(matches!(err.source, CommError::RankCrashed { rank: 0 }));
@@ -185,14 +190,15 @@ fn restart_without_checkpoints_replays_from_scratch() {
     let ds = am(0.15);
     let mut chaos = DistConfig::new(&ds, DistMode::Cd0, 2, 6);
     chaos.faults = FaultPlan::none().with_crash(1, 4);
+    chaos.max_restarts = 1;
 
-    let rec = DistTrainer::try_run_recovering(&ds, &chaos, 1, false)
+    let rec = DistTrainer::launch(&ds, None, &chaos, None)
         .expect("a from-scratch relaunch needs no checkpoint");
     assert_eq!(rec.restarts, 1);
     assert_eq!(rec.epochs_replayed, 4, "all pre-crash epochs replay without a snapshot");
 
-    let reference = DistTrainer::try_run(&ds, &reference_of(&chaos)).expect("reference");
-    assert_eq!(rec.run.final_params, reference.final_params);
+    let reference = DistTrainer::launch(&ds, None, &reference_of(&chaos), None).expect("reference");
+    assert_eq!(rec.final_params, reference.final_params);
 }
 
 /// The checkpoint protocol itself (its votes and barriers) must not
@@ -205,8 +211,8 @@ fn cdr_checkpointing_is_transparent() {
     let mut cfg = DistConfig::new(&ds, DistMode::CdR { delay: 2 }, 3, 12);
     cfg.checkpoint_every = 3;
     cfg.checkpoint_dir = Some(dir.clone());
-    let a = DistTrainer::try_run(&ds, &cfg).unwrap();
-    let b = DistTrainer::try_run(&ds, &reference_of(&cfg)).unwrap();
+    let a = DistTrainer::launch(&ds, None, &cfg, None).unwrap();
+    let b = DistTrainer::launch(&ds, None, &reference_of(&cfg), None).unwrap();
     assert_eq!(a.final_params, b.final_params, "checkpointing must not perturb cd-r training");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -221,19 +227,20 @@ fn cdr_planned_stop_and_resume_is_bit_identical() {
     let mut cfg = DistConfig::new(&ds, DistMode::CdR { delay: 2 }, 3, 6);
     cfg.checkpoint_every = 3;
     cfg.checkpoint_dir = Some(dir.clone());
-    DistTrainer::try_run(&ds, &cfg).unwrap();
+    DistTrainer::launch(&ds, None, &cfg, None).unwrap();
 
     let mut cont = cfg.clone();
     cont.epochs = 12;
-    let rec = DistTrainer::try_run_recovering(&ds, &cont, 0, true).unwrap();
+    cont.resume = true;
+    let rec = DistTrainer::launch(&ds, None, &cont, None).unwrap();
     assert_eq!(rec.restarts, 0);
-    assert_eq!(rec.run.epochs.len(), 6, "resume should pick up at epoch 6");
+    assert_eq!(rec.epochs.len(), 6, "resume should pick up at epoch 6");
 
     let mut clean = reference_of(&cfg);
     clean.epochs = 12;
-    let b = DistTrainer::try_run(&ds, &clean).unwrap();
+    let b = DistTrainer::launch(&ds, None, &clean, None).unwrap();
     assert_eq!(
-        rec.run.final_params, b.final_params,
+        rec.final_params, b.final_params,
         "a planned stop/resume must be bit-identical to running straight through"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -255,7 +262,7 @@ fn cdr_resumed_trajectory_matches_checkpoint_by_checkpoint() {
     let mut cfg = DistConfig::new(&ds, DistMode::CdR { delay: 2 }, 3, 12);
     cfg.checkpoint_every = 1;
     cfg.checkpoint_dir = Some(dir_a.clone());
-    DistTrainer::try_run(&ds, &cfg).unwrap();
+    DistTrainer::launch(&ds, None, &cfg, None).unwrap();
 
     // Clone the checkpoint store truncated to ckpt-6, resume from it.
     let dir_b = scratch("bisect-b");
@@ -271,7 +278,8 @@ fn cdr_resumed_trajectory_matches_checkpoint_by_checkpoint() {
     }
     let mut cfg_b = cfg.clone();
     cfg_b.checkpoint_dir = Some(dir_b.clone());
-    DistTrainer::try_run_recovering(&ds, &cfg_b, 0, true).unwrap();
+    cfg_b.resume = true;
+    DistTrainer::launch(&ds, None, &cfg_b, None).unwrap();
 
     for e in 7..=12u64 {
         let a = load_cluster_state(&dir_a.join(format!("ckpt-{e}"))).unwrap();
@@ -301,15 +309,16 @@ fn compressed_cd0_kill_and_resume_is_bit_identical() {
     chaos.checkpoint_every = 3;
     chaos.checkpoint_dir = Some(dir.clone());
     chaos.faults = FaultPlan::none().with_crash(1, 7);
+    chaos.max_restarts = 1;
 
-    let rec = DistTrainer::try_run_recovering(&ds, &chaos, 1, false)
+    let rec = DistTrainer::launch(&ds, None, &chaos, None)
         .expect("one restart must absorb the crash under compression");
     assert_eq!(rec.restarts, 1);
     assert_eq!(rec.epochs_replayed, 1);
 
-    let reference = DistTrainer::try_run(&ds, &reference_of(&chaos)).expect("reference");
+    let reference = DistTrainer::launch(&ds, None, &reference_of(&chaos), None).expect("reference");
     assert_eq!(
-        rec.run.final_params, reference.final_params,
+        rec.final_params, reference.final_params,
         "compressed kill-and-resume must restore residuals + codec mirrors bit-exactly"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -328,15 +337,16 @@ fn compressed_cdr_kill_and_resume_is_bit_identical() {
     chaos.checkpoint_every = 3;
     chaos.checkpoint_dir = Some(dir.clone());
     chaos.faults = FaultPlan::none().with_crash(2, 8);
+    chaos.max_restarts = 1;
 
-    let rec = DistTrainer::try_run_recovering(&ds, &chaos, 1, false)
+    let rec = DistTrainer::launch(&ds, None, &chaos, None)
         .expect("one restart must absorb the crash under compression");
     assert_eq!(rec.restarts, 1);
     assert_eq!(rec.epochs_replayed, 2);
 
-    let reference = DistTrainer::try_run(&ds, &reference_of(&chaos)).expect("reference");
+    let reference = DistTrainer::launch(&ds, None, &reference_of(&chaos), None).expect("reference");
     assert_eq!(
-        rec.run.final_params, reference.final_params,
+        rec.final_params, reference.final_params,
         "compressed cd-r resume must restore mirrors + route caches + outbox bit-exactly"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -357,15 +367,16 @@ fn overlapped_async_checkpoints_survive_kill_and_resume() {
     chaos.checkpoint_every = 3;
     chaos.checkpoint_dir = Some(dir.clone());
     chaos.faults = FaultPlan::none().with_crash(1, 7);
+    chaos.max_restarts = 1;
 
-    let rec = DistTrainer::try_run_recovering(&ds, &chaos, 1, false)
+    let rec = DistTrainer::launch(&ds, None, &chaos, None)
         .expect("one restart must absorb the crash with async checkpoints");
     assert_eq!(rec.restarts, 1);
     assert_eq!(rec.epochs_replayed, 1, "the async writer must have committed ckpt-6");
 
-    let reference = DistTrainer::try_run(&ds, &reference_of(&chaos)).expect("reference");
+    let reference = DistTrainer::launch(&ds, None, &reference_of(&chaos), None).expect("reference");
     assert_eq!(
-        rec.run.final_params, reference.final_params,
+        rec.final_params, reference.final_params,
         "async-checkpoint kill-and-resume must stay bit-identical"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -44,7 +44,7 @@ fn train_to_checkpoint(
     let mut cfg = DistConfig::new(ds, DistMode::Cd0, 3, epochs);
     cfg.checkpoint_every = every;
     cfg.checkpoint_dir = Some(dir.to_path_buf());
-    let run = DistTrainer::try_run(ds, &cfg).expect("checkpointing training run");
+    let run = DistTrainer::launch(ds, None, &cfg, None).expect("checkpointing training run");
     (cfg, run.final_params[0].clone())
 }
 
@@ -155,12 +155,12 @@ fn lossy_bf16_checkpoint_serves_within_epsilon() {
     let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 3, 3);
     cfg.checkpoint_every = 3;
     cfg.checkpoint_dir = Some(lossless_dir.clone());
-    DistTrainer::try_run(&ds, &cfg).expect("lossless run");
+    DistTrainer::launch(&ds, None, &cfg, None).expect("lossless run");
 
     let mut lossy_cfg = cfg.clone();
     lossy_cfg.checkpoint_dir = Some(lossy_dir.clone());
     lossy_cfg.lossy_checkpoints = true;
-    DistTrainer::try_run(&ds, &lossy_cfg).expect("lossy run");
+    DistTrainer::launch(&ds, None, &lossy_cfg, None).expect("lossy run");
 
     let exact = load_newest_model(&lossless_dir, &cfg.model).expect("lossless restore");
     let packed = load_newest_model(&lossy_dir, &cfg.model).expect("lossy restore");

@@ -28,9 +28,9 @@ fn recording_on_and_off_train_bit_identically() {
     let ds = am(0.3);
     for mode in [DistMode::Oc, DistMode::Cd0, DistMode::CdR { delay: 2 }] {
         let cfg = DistConfig::new(&ds, mode, 3, 5);
-        let off = DistTrainer::try_run(&ds, &cfg).expect("recording-off run");
+        let off = DistTrainer::launch(&ds, None, &cfg, None).expect("recording-off run");
         let hub = TelemetryHub::new(3, Default::default());
-        let on = DistTrainer::try_run_with_telemetry(&ds, &cfg, &hub).expect("recording-on run");
+        let on = DistTrainer::launch(&ds, None, &cfg, Some(&hub)).expect("recording-on run");
         assert_eq!(
             off.final_params,
             on.final_params,
@@ -54,9 +54,9 @@ fn chaos_run_records_retries_without_breaking_determinism() {
     cfg.faults = plan;
 
     let hub_a = TelemetryHub::new(3, Default::default());
-    let a = DistTrainer::try_run_with_telemetry(&ds, &cfg, &hub_a).expect("chaos run A");
+    let a = DistTrainer::launch(&ds, None, &cfg, Some(&hub_a)).expect("chaos run A");
     let hub_b = TelemetryHub::new(3, Default::default());
-    let b = DistTrainer::try_run_with_telemetry(&ds, &cfg, &hub_b).expect("chaos run B");
+    let b = DistTrainer::launch(&ds, None, &cfg, Some(&hub_b)).expect("chaos run B");
 
     assert_eq!(a.per_rank_comm, b.per_rank_comm, "seeded chaos must reproduce");
     assert_eq!(a.final_params, b.final_params);
@@ -83,7 +83,7 @@ fn exported_trace_validates_and_covers_training_phases() {
     let ds = am(0.3);
     let cfg = DistConfig::new(&ds, DistMode::CdR { delay: 1 }, 3, 4);
     let hub = TelemetryHub::new(3, Default::default());
-    DistTrainer::try_run_with_telemetry(&ds, &cfg, &hub).expect("recorded run");
+    DistTrainer::launch(&ds, None, &cfg, Some(&hub)).expect("recorded run");
 
     let trace = chrome_trace(&hub);
     let summary = validate_trace(&trace).expect("trace must validate");
@@ -114,7 +114,7 @@ fn metrics_export_carries_phase_totals_comm_and_staleness() {
     let mut cfg = DistConfig::new(&ds, DistMode::CdR { delay: 2 }, 3, 6);
     cfg.faults = FaultPlan::none().with_seed(11).with_delay(0.3, 2);
     let hub = TelemetryHub::new(3, Default::default());
-    let report = DistTrainer::try_run_with_telemetry(&ds, &cfg, &hub).expect("recorded run");
+    let report = DistTrainer::launch(&ds, None, &cfg, Some(&hub)).expect("recorded run");
     let reg = build_metrics(&cfg, &report, &hub);
 
     let doc = json::parse(&metrics_json(&reg)).expect("metrics JSON must parse");
@@ -157,7 +157,7 @@ fn overflow_degrades_gracefully_under_training_load() {
     let cfg = DistConfig::new(&ds, DistMode::Cd0, 2, 4);
     // 16 event slots cannot hold a 4-epoch run's spans.
     let hub = TelemetryHub::new(2, RecorderConfig { event_capacity: 16, epoch_capacity: 16 });
-    let report = DistTrainer::try_run_with_telemetry(&ds, &cfg, &hub).expect("recorded run");
+    let report = DistTrainer::launch(&ds, None, &cfg, Some(&hub)).expect("recorded run");
     assert_eq!(report.epochs.len(), 4);
     for r in 0..2 {
         let rec = hub.rank(r);
