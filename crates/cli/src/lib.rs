@@ -3,7 +3,7 @@
 //! Hand-rolled parsing (no external dependency): the CLI surface is
 //! small and stable. Split from `main.rs` so the parser is unit-tested.
 
-use distgnn_comm::{FaultPlan, ProgressMode, RetryPolicy, WireCodec};
+use distgnn_comm::{FaultPlan, RetryPolicy, WireCodec};
 use distgnn_core::DistMode;
 use distgnn_graph::ScaledConfig;
 
@@ -41,9 +41,6 @@ pub struct Cli {
     pub trace_out: Option<String>,
     /// Write the end-of-run metrics JSON here (enables recording).
     pub metrics_out: Option<String>,
-    /// Overlap-first epoch loop with this comm progress mode
-    /// (`None` = blocking loop).
-    pub progress: Option<ProgressMode>,
     /// Wire codec for compressed communication
     /// (`WireCodec::None` = exact uncompressed paths).
     pub compress: WireCodec,
@@ -98,7 +95,6 @@ impl Default for Cli {
             adopt_on_crash: false,
             trace_out: None,
             metrics_out: None,
-            progress: None,
             compress: WireCodec::None,
             compress_grads: None,
             no_error_feedback: false,
@@ -164,10 +160,6 @@ OPTIONS:
     --blocks <usize>     kernel cache blocks n_B      (default auto)
     --seed <u64>         partitioning seed            (default 0xD15)
     --faults <spec>      fault-injection scenario     (default none)
-    --progress <polled|thread>  overlap-first epoch loop: async collectives
-                         progressed by polling or by per-rank progress
-                         threads (default: blocking loop; trained params
-                         are bit-identical either way)
     --compress <none|bf16|topk=K|int8>  wire codec for compressed comm:
                          gradient AllReduces go through error-feedback
                          compression, DRPA exchanges ship delta-encoded
@@ -266,7 +258,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             "--max-restarts" => cli.max_restarts = parse_num(flag, value()?)?,
             "--elastic-resume" => cli.elastic_resume = true,
             "--adopt-on-crash" => cli.adopt_on_crash = true,
-            "--progress" => cli.progress = Some(ProgressMode::parse(value()?)?),
             "--compress" => cli.compress = WireCodec::parse(value()?)?,
             "--compress-grads" => cli.compress_grads = Some(WireCodec::parse(value()?)?),
             "--no-error-feedback" => cli.no_error_feedback = true,
@@ -436,18 +427,6 @@ mod tests {
         assert_eq!(cli.metrics_out.as_deref(), Some("metrics.json"));
         assert!(cli.wants_telemetry());
         assert!(!parse(&argv("dist-train")).unwrap().wants_telemetry());
-    }
-
-    #[test]
-    fn progress_flag_selects_overlap() {
-        let cli = parse(&argv("dist-train --progress thread")).unwrap();
-        assert_eq!(cli.progress, Some(ProgressMode::Thread));
-        assert_eq!(
-            parse(&argv("dist-train --progress polled")).unwrap().progress,
-            Some(ProgressMode::Polled)
-        );
-        assert_eq!(parse(&argv("dist-train")).unwrap().progress, None);
-        assert!(parse(&argv("dist-train --progress eager")).is_err());
     }
 
     #[test]

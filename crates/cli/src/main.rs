@@ -85,7 +85,6 @@ fn dist_train(cli: &Cli) {
     cfg.retry = cli.retry_policy();
     cfg.checkpoint_every = cli.checkpoint_every;
     cfg.checkpoint_dir = cli.checkpoint_dir.as_ref().map(std::path::PathBuf::from);
-    cfg.overlap = cli.progress;
     cfg.codec = cli.compress;
     cfg.grad_codec = cli.compress_grads;
     cfg.error_feedback = !cli.no_error_feedback;

@@ -11,7 +11,7 @@
 
 use crate::codec::{ErrorFeedback, WireCodec};
 use crate::faults::FaultPlan;
-use crate::progress::{ProgressEngine, ProgressMode};
+use crate::progress::ProgressEngine;
 use crate::retry::RetryPolicy;
 use crate::stats::{CommSnapshot, CommStats};
 use distgnn_telemetry::{Phase, Recorder, TraceCounter};
@@ -20,7 +20,6 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Instant;
 
 /// Typed communication failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,8 +218,6 @@ impl Cluster {
                         shared,
                         barriers: Cell::new(0),
                         epoch: Cell::new(0),
-                        ar_seq: Cell::new(0),
-                        progress_mode: Cell::new(ProgressMode::Polled),
                     };
                     *slot = Some(f(&mut ctx));
                 }));
@@ -248,13 +245,6 @@ pub struct RankCtx<'a> {
     /// Current training epoch (set by the trainer); the clock that
     /// stall faults are expressed in.
     epoch: Cell<u64>,
-    /// Sequence counter for async AllReduce ops. Ranks run the same
-    /// SPMD program, so sequence n names the same logical collective on
-    /// every rank — the key the progress engine matches contributions
-    /// under.
-    ar_seq: Cell<u64>,
-    /// How this rank progresses its async ops (see [`ProgressMode`]).
-    progress_mode: Cell<ProgressMode>,
 }
 
 impl RankCtx<'_> {
@@ -274,11 +264,6 @@ impl RankCtx<'_> {
 
     pub fn epoch(&self) -> u64 {
         self.epoch.get()
-    }
-
-    /// Barriers crossed by this rank so far.
-    pub fn barriers_crossed(&self) -> u64 {
-        self.barriers.get()
     }
 
     /// True when this rank is currently asleep under a stall fault.
@@ -791,30 +776,11 @@ impl RankCtx<'_> {
     }
 }
 
-/// An in-flight asynchronous AllReduce (see
-/// [`RankCtx::all_reduce_sum_async`]). Poll with
-/// [`RankCtx::all_reduce_poll`], retire with
-/// [`RankCtx::all_reduce_wait`].
-#[must_use = "an unwaited handle leaks its slot in the progress engine"]
-pub struct AllReduceHandle {
-    seq: u64,
-    len: usize,
-    /// Encoded words on the wire (== `len` unless a codec compressed
-    /// the contribution); receive accounting at the wait point uses
-    /// this.
-    wire_len: usize,
-    posted: Instant,
-    /// Single-rank short circuit: the input is already the sum.
-    local: Option<Vec<f32>>,
-}
-
-/// An in-flight asynchronous variable AlltoAll (see
-/// [`RankCtx::all_to_all_v_async`]).
+/// An in-flight variable AlltoAll (see [`RankCtx::all_to_all_v_async`]).
 #[must_use = "an unwaited handle leaks its payloads in the progress engine"]
 pub struct AllToAllHandle {
-    posted: Instant,
     /// This rank's own slot, passed through at wait.
-    own: Option<Vec<f32>>,
+    own: Vec<f32>,
     /// Under an active fault plan the exchange completes through the
     /// blocking retry/abort ladder at wait time: the payloads and the
     /// policy are captured here and nothing is posted to the engine.
@@ -822,119 +788,8 @@ pub struct AllToAllHandle {
 }
 
 impl RankCtx<'_> {
-    /// Selects how this rank progresses its asynchronous collectives.
-    /// Defaults to [`ProgressMode::Polled`].
-    pub fn set_progress_mode(&self, mode: ProgressMode) {
-        self.progress_mode.set(mode);
-    }
-
-    pub fn progress_mode(&self) -> ProgressMode {
-        self.progress_mode.get()
-    }
-
-    /// Advances this rank's *local* barrier clock without a rendezvous,
-    /// as if it had crossed `n` barriers. The overlapped epoch loop
-    /// calls this at the program points where the blocking schedule
-    /// crosses real barriers (AllReduce, checkpoint votes): every rank
-    /// advances identically at the same point, so the clock arithmetic
-    /// that delay-fault visibility is expressed in stays bit-identical
-    /// to the blocking run — without paying for the rendezvous.
-    pub fn advance_local_clock(&self, n: u64) {
-        self.barriers.set(self.barriers.get() + n);
-    }
-
-    /// Nonblocking sum-AllReduce: posts this rank's contribution to the
-    /// progress engine and returns immediately. The matching
-    /// [`RankCtx::all_reduce_wait`] blocks until every rank's
-    /// contribution arrived and returns the sum, accumulated in
-    /// ascending rank order — bit-identical to
-    /// [`RankCtx::all_reduce_sum`]. Reliable like the blocking variant:
-    /// fault rules do not apply, and no barrier is crossed.
-    pub fn all_reduce_sum_async(&self, buf: Vec<f32>) -> AllReduceHandle {
-        let k = self.size();
-        let stats = &self.shared.stats[self.rank];
-        stats.record_handle_posted();
-        if k == 1 {
-            let len = buf.len();
-            return AllReduceHandle { seq: 0, len, wire_len: len, posted: Instant::now(), local: Some(buf) };
-        }
-        let _s = self.telemetry().scope(Phase::CommSend);
-        let seq = self.ar_seq.get();
-        self.ar_seq.set(seq + 1);
-        stats.record_send((buf.len() * 4) as u64);
-        let len = buf.len();
-        let handle =
-            AllReduceHandle { seq, len, wire_len: len, posted: Instant::now(), local: None };
-        self.shared.progress.post_reduce(self.rank, self.progress_mode.get(), seq, buf);
-        handle
-    }
-
-    /// [`RankCtx::all_reduce_sum_async`] through a [`WireCodec`] with
-    /// error feedback — the nonblocking counterpart of
-    /// [`RankCtx::all_reduce_sum_compressed`], carrying the per-layer
-    /// residual of the overlapped epoch loop. The decoded contribution
-    /// is posted to the unchanged progress engine (decode is
-    /// deterministic; see the blocking variant for why this is
-    /// observationally identical to shipping encoded words), and the
-    /// handle remembers the encoded length for receive accounting at
-    /// the wait point. `WireCodec::None` delegates verbatim.
-    pub fn all_reduce_sum_compressed_async(
-        &self,
-        buf: Vec<f32>,
-        codec: &WireCodec,
-        ef: &mut ErrorFeedback,
-    ) -> AllReduceHandle {
-        if codec.is_identity() {
-            return self.all_reduce_sum_async(buf);
-        }
-        let k = self.size();
-        let stats = &self.shared.stats[self.rank];
-        stats.record_handle_posted();
-        if k == 1 {
-            let len = buf.len();
-            return AllReduceHandle { seq: 0, len, wire_len: len, posted: Instant::now(), local: Some(buf) };
-        }
-        let _s = self.telemetry().scope(Phase::CommSend);
-        let len = buf.len();
-        let (xhat, wire_words) = ef.compress(codec, &buf);
-        let seq = self.ar_seq.get();
-        self.ar_seq.set(seq + 1);
-        stats.record_send_coded((wire_words * 4) as u64, (len * 4) as u64);
-        let handle =
-            AllReduceHandle { seq, len, wire_len: wire_words, posted: Instant::now(), local: None };
-        self.shared.progress.post_reduce(self.rank, self.progress_mode.get(), seq, xhat.to_vec());
-        handle
-    }
-
-    /// True when [`RankCtx::all_reduce_wait`] would return without
-    /// blocking.
-    pub fn all_reduce_poll(&self, handle: &AllReduceHandle) -> bool {
-        handle.local.is_some() || self.shared.progress.reduce_ready(handle.seq)
-    }
-
-    /// Blocks until the AllReduce behind `handle` completed on every
-    /// rank and returns the element-wise sum.
-    pub fn all_reduce_wait(&self, handle: AllReduceHandle) -> Vec<f32> {
-        let stats = &self.shared.stats[self.rank];
-        if let Some(buf) = handle.local {
-            stats.record_handle_completed(0, handle.posted.elapsed().as_nanos() as u64);
-            return buf;
-        }
-        let wait_start = Instant::now();
-        let overlap_ns = wait_start.duration_since(handle.posted).as_nanos() as u64;
-        let _w = self.telemetry().scope(Phase::CommWait);
-        let out = self.shared.progress.wait_reduce(handle.seq, handle.len);
-        let wire = (handle.wire_len * 4) as u64;
-        let logical = (handle.len * 4) as u64;
-        for _ in 1..self.size() {
-            stats.record_recv_coded(wire, logical);
-        }
-        stats.record_handle_completed(wait_start.elapsed().as_nanos() as u64, overlap_ns);
-        out
-    }
-
-    /// Nonblocking variable AlltoAll: posts `outgoing[p]` toward rank
-    /// `p` and returns immediately; the matching
+    /// Variable AlltoAll through the progress engine: posts
+    /// `outgoing[p]` toward rank `p` and returns; the matching
     /// [`RankCtx::all_to_all_v_wait`] blocks until one payload from
     /// every peer is available. Fault-free, payload routing is
     /// barrier-free and bit-identical to [`RankCtx::all_to_all_v`].
@@ -946,41 +801,24 @@ impl RankCtx<'_> {
     /// Panics if `outgoing.len() != size`.
     pub fn all_to_all_v_async(
         &self,
-        outgoing: Vec<Vec<f32>>,
+        mut outgoing: Vec<Vec<f32>>,
         policy: &RetryPolicy,
     ) -> AllToAllHandle {
-        let k = self.size();
-        assert_eq!(outgoing.len(), k, "need one payload per rank");
+        assert_eq!(outgoing.len(), self.size(), "need one payload per rank");
         let stats = &self.shared.stats[self.rank];
         stats.record_handle_posted();
         if self.shared.faults.is_some() {
-            return AllToAllHandle {
-                posted: Instant::now(),
-                own: None,
-                fallback: Some((outgoing, *policy)),
-            };
+            return AllToAllHandle { own: Vec::new(), fallback: Some((outgoing, *policy)) };
         }
         let _s = self.telemetry().scope(Phase::CommSend);
-        let mut own = None;
-        let mut items = Vec::with_capacity(k.saturating_sub(1));
-        for (dst, payload) in outgoing.into_iter().enumerate() {
-            if dst == self.rank {
-                own = Some(payload);
-                continue;
+        let own = std::mem::take(&mut outgoing[self.rank]);
+        for (dst, payload) in outgoing.iter().enumerate() {
+            if dst != self.rank {
+                stats.record_send((payload.len() * 4) as u64);
             }
-            stats.record_send((payload.len() * 4) as u64);
-            items.push((dst, payload));
         }
-        let handle = AllToAllHandle { posted: Instant::now(), own, fallback: None };
-        self.shared.progress.post_exchange(self.rank, self.progress_mode.get(), items);
-        handle
-    }
-
-    /// True when [`RankCtx::all_to_all_v_wait`] would return without
-    /// blocking. A fault-mode handle reports `false`: its completion
-    /// needs the collective retry rendezvous.
-    pub fn all_to_all_v_poll(&self, handle: &AllToAllHandle) -> bool {
-        handle.fallback.is_none() && self.shared.progress.exchange_ready(self.rank)
+        self.shared.progress.post_exchange(self.rank, outgoing);
+        AllToAllHandle { own, fallback: None }
     }
 
     /// Blocks until a payload from every peer is available and returns
@@ -992,25 +830,18 @@ impl RankCtx<'_> {
     ) -> Result<Vec<Vec<f32>>, CommError> {
         let stats = &self.shared.stats[self.rank];
         if let Some((outgoing, policy)) = handle.fallback {
-            let wait_start = Instant::now();
-            let overlap_ns = wait_start.duration_since(handle.posted).as_nanos() as u64;
             let out = self.all_to_all_v_retry(outgoing, &policy);
-            stats.record_handle_completed(wait_start.elapsed().as_nanos() as u64, overlap_ns);
+            stats.record_handle_completed();
             return out;
         }
-        let wait_start = Instant::now();
-        let overlap_ns = wait_start.duration_since(handle.posted).as_nanos() as u64;
         let _w = self.telemetry().scope(Phase::CommWait);
-        let incoming = self
-            .shared
-            .progress
-            .wait_exchange(self.rank, handle.own.unwrap_or_default());
+        let incoming = self.shared.progress.wait_exchange(self.rank, handle.own);
         for (src, payload) in incoming.iter().enumerate() {
             if src != self.rank {
                 stats.record_recv((payload.len() * 4) as u64);
             }
         }
-        stats.record_handle_completed(wait_start.elapsed().as_nanos() as u64, overlap_ns);
+        stats.record_handle_completed();
         Ok(incoming)
     }
 }
@@ -1136,102 +967,24 @@ mod tests {
     }
 
     #[test]
-    fn async_all_reduce_matches_blocking_bit_for_bit() {
-        let blocking = Cluster::run(4, |ctx| {
-            let mut buf: Vec<f32> =
-                (0..16).map(|i| (ctx.rank() * 16 + i) as f32 * 0.37).collect();
-            ctx.all_reduce_sum(&mut buf);
-            buf
-        });
-        for mode in [ProgressMode::Polled, ProgressMode::Thread] {
-            let (overlapped, snaps) = Cluster::run_with(4, &FaultPlan::none(), None, 0, move |ctx| {
-                ctx.set_progress_mode(mode);
-                let buf: Vec<f32> =
-                    (0..16).map(|i| (ctx.rank() * 16 + i) as f32 * 0.37).collect();
-                let h = ctx.all_reduce_sum_async(buf);
-                ctx.all_reduce_wait(h)
-            });
-            assert_eq!(blocking, overlapped, "mode {mode:?}");
-            for s in snaps {
-                assert_eq!(s.handle_ops_posted, 1);
-                assert_eq!(s.handle_ops_completed, 1);
-                // Same wire accounting as the blocking AllReduce.
-                assert_eq!(s.bytes_sent, 16 * 4);
-                assert_eq!(s.bytes_received, 3 * 16 * 4);
-            }
-        }
-    }
-
-    #[test]
     fn async_all_to_all_matches_blocking_bit_for_bit() {
-        let blocking = Cluster::run(3, |ctx| {
-            let outgoing: Vec<Vec<f32>> =
-                (0..3).map(|dst| vec![(ctx.rank() * 10 + dst) as f32]).collect();
-            ctx.all_to_all_v(outgoing).expect("no faults")
+        let outgoing = |ctx: &RankCtx<'_>| -> Vec<Vec<f32>> {
+            (0..3).map(|dst| vec![(ctx.rank() * 10 + dst) as f32; dst + 1]).collect()
+        };
+        let (blocking, bsnaps) = Cluster::run_with(3, &FaultPlan::none(), None, 0, |ctx| {
+            ctx.all_to_all_v(outgoing(ctx)).expect("no faults")
         });
-        for mode in [ProgressMode::Polled, ProgressMode::Thread] {
-            let overlapped = Cluster::run(3, move |ctx| {
-                ctx.set_progress_mode(mode);
-                let outgoing: Vec<Vec<f32>> =
-                    (0..3).map(|dst| vec![(ctx.rank() * 10 + dst) as f32]).collect();
-                let h = ctx.all_to_all_v_async(outgoing, &RetryPolicy::none());
-                ctx.all_to_all_v_wait(h).expect("no faults")
-            });
-            assert_eq!(blocking, overlapped, "mode {mode:?}");
-        }
-    }
-
-    /// Several AllReduces may be in flight at once; waits retire them
-    /// by sequence, in any order the caller chooses.
-    #[test]
-    fn multiple_async_reduces_overlap_in_flight() {
-        let out = Cluster::run(3, |ctx| {
-            let handles: Vec<_> = (0..4)
-                .map(|i| ctx.all_reduce_sum_async(vec![(ctx.rank() + i) as f32]))
-                .collect();
-            // Waited in reverse posting order on purpose.
-            let mut sums: Vec<f32> =
-                handles.into_iter().rev().map(|h| ctx.all_reduce_wait(h)[0]).collect();
-            sums.reverse();
-            sums
+        let (asynced, asnaps) = Cluster::run_with(3, &FaultPlan::none(), None, 0, |ctx| {
+            let h = ctx.all_to_all_v_async(outgoing(ctx), &RetryPolicy::none());
+            ctx.all_to_all_v_wait(h).expect("no faults")
         });
-        // Op i sums (0+i) + (1+i) + (2+i) = 3 + 3i.
-        for per_rank in out {
-            assert_eq!(per_rank, vec![3.0, 6.0, 9.0, 12.0]);
-        }
-    }
-
-    #[test]
-    fn async_poll_reports_readiness() {
-        let out = Cluster::run(2, |ctx| {
-            let h = ctx.all_reduce_sum_async(vec![1.0]);
-            // Rendezvous so both contributions are deposited (polled
-            // mode deposits inline at post).
-            ctx.barrier();
-            let ready = ctx.all_reduce_poll(&h);
-            (ready, ctx.all_reduce_wait(h))
-        });
-        for (ready, sum) in out {
-            assert!(ready, "both contributions were in before the poll");
-            assert_eq!(sum, vec![2.0]);
-        }
-    }
-
-    /// Async ops must never advance the barrier clock: the overlapped
-    /// trainer accounts for skipped rendezvous explicitly via
-    /// `advance_local_clock`.
-    #[test]
-    fn async_ops_leave_the_barrier_clock_alone() {
-        let out = Cluster::run(2, |ctx| {
-            let h = ctx.all_reduce_sum_async(vec![1.0]);
-            let _ = ctx.all_reduce_wait(h);
-            let before = ctx.barriers_crossed();
-            ctx.advance_local_clock(4);
-            (before, ctx.barriers_crossed())
-        });
-        for (before, after) in out {
-            assert_eq!(before, 0);
-            assert_eq!(after, 4);
+        assert_eq!(blocking, asynced);
+        for (b, a) in bsnaps.iter().zip(&asnaps) {
+            // Same wire accounting as the blocking AlltoAllv.
+            assert_eq!(a.bytes_sent, b.bytes_sent);
+            assert_eq!(a.bytes_received, b.bytes_received);
+            assert_eq!(a.handle_ops_posted, 1);
+            assert_eq!(a.handle_ops_completed, 1);
         }
     }
 
@@ -1468,7 +1221,6 @@ mod fault_tests {
         let (asynced, asnaps) = Cluster::run_with(2, &plan, None, 0, |ctx| {
             let outgoing = (0..2).map(|d| vec![(ctx.rank() * 10 + d) as f32]).collect();
             let h = ctx.all_to_all_v_async(outgoing, &RetryPolicy::standard());
-            assert!(!ctx.all_to_all_v_poll(&h), "fault-mode completion needs the collective wait");
             ctx.all_to_all_v_wait(h).expect("absorbed")
         });
         assert_eq!(blocking, asynced, "fallback must deliver the blocking payloads");

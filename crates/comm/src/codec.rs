@@ -1,8 +1,8 @@
 //! Wire codecs: lossy/lossless payload compression for every byte the
 //! cluster moves.
 //!
-//! BENCH_dist.json puts cd-0 at ~115 MB/epoch against 2 MB for 0c —
-//! once overlap hides latency, *volume* is the scaling wall. This
+//! cd-0 moves ~14 MB per epoch on the `dist_cd0` benchmark workload,
+//! where cd-5 moves a tenth of that — *volume* is the scaling wall. This
 //! module provides the codec layer the trainer threads through all
 //! three traffic classes:
 //!

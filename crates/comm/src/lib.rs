@@ -36,10 +36,9 @@ pub mod progress;
 pub mod retry;
 pub mod stats;
 
-pub use cluster::{AllReduceHandle, AllToAllHandle, Cluster, CommError, PendingMsg, RankCtx};
+pub use cluster::{AllToAllHandle, Cluster, CommError, PendingMsg, RankCtx};
 pub use codec::{ErrorFeedback, WireCodec};
 pub use faults::FaultPlan;
 pub use netmodel::NetworkModel;
-pub use progress::ProgressMode;
 pub use retry::RetryPolicy;
 pub use stats::{CommSnapshot, CommStats};

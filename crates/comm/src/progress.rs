@@ -1,318 +1,98 @@
-//! Per-rank comm progress engine: nonblocking handle-based collectives.
+//! Per-rank comm progress engine: the handle-based variable AlltoAll.
 //!
-//! The blocking collectives in [`cluster`](crate::cluster) rendezvous at
-//! shared barriers, and every nanosecond a fast rank spends at a
-//! rendezvous is charged to the idle bucket. The engine replaces the
-//! rendezvous with *completion*: a rank posts its contribution the
-//! moment the data is ready (`all_reduce_sum_async` /
-//! `all_to_all_v_async` on [`RankCtx`](crate::RankCtx)), keeps
-//! computing, and only blocks — on a condvar keyed to data arrival, not
-//! a barrier — when it finally needs the result. Waits are attributed
-//! to `comm_wait`, so the compute/comm/idle breakdown shows overlap
-//! instead of idle time.
+//! The blocking [`all_to_all_v`](crate::RankCtx::all_to_all_v)
+//! rendezvouses at two shared barriers per call, and every nanosecond a
+//! fast rank spends there is idle time. The engine replaces the
+//! rendezvous with *completion*: a rank posts its payloads
+//! ([`all_to_all_v_async`](crate::RankCtx::all_to_all_v_async)) and
+//! blocks only in the matching wait — on a condvar keyed to data
+//! arrival, not a barrier — until one payload from every peer is there.
+//! The cd-0 clone syncs exchange through it.
 //!
-//! Two progression strategies, selected per rank
-//! (`--progress={polled,thread}`):
+//! Per-link FIFO queues make matching deterministic: the n-th post on a
+//! link pairs with the n-th wait on it, which is well defined because
+//! every rank runs the same SPMD program. Payloads are handed back in
+//! ascending source order, so a fault-free exchange returns exactly
+//! what the blocking AlltoAllv returns. Posts cross no barrier.
 //!
-//! * **Polled** — the posting rank deposits into the engine inline; the
-//!   "state machine" is the engine's slot/queue structures and progress
-//!   happens at post and wait points. No extra threads.
-//! * **Thread** — each rank hands deposits to a dedicated progress
-//!   thread over a FIFO channel, modelling a comm core that drains the
-//!   NIC while the rank computes (DistDGL's dedicated-progression
-//!   design). The FIFO preserves the rank's program order, so
-//!   completion-visibility implies every earlier deposit from that rank
-//!   landed too — the happens-before edge the delayed cd-r pipeline
-//!   relies on.
-//!
-//! Both strategies produce bit-identical results: contributions are
-//! combined in ascending rank order at the *waiting* rank, exactly like
-//! the blocking collectives, and per-link FIFO queues make AlltoAllv
-//! matching deterministic (the n-th post on a link pairs with the n-th
-//! wait, which is well defined because every rank runs the same SPMD
-//! program). Async ops never touch the barrier clock; the trainer
-//! advances its local clock past the barriers the blocking schedule
-//! would have crossed, keeping delay-fault visibility arithmetic
-//! bit-identical (see `advance_local_clock`).
-//!
-//! Fault injection: the engine's fast paths exist for the fault-free
-//! case. AllReduce is reliable by the fault model (as in the blocking
-//! path), so it always uses the engine. An AlltoAllv posted under an
-//! active [`FaultPlan`](crate::FaultPlan) captures its payloads and
-//! completes through the blocking retry/abort ladder at wait time —
-//! same barriers, same fault decisions, same typed errors.
+//! Fault injection: the engine exists for the fault-free case. An
+//! AlltoAllv posted under an active [`FaultPlan`](crate::FaultPlan)
+//! never reaches it: the handle captures its payloads and completes
+//! through the blocking retry/abort ladder at wait time — same
+//! barriers, same fault decisions, same typed errors.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-
-/// How a rank progresses its asynchronous communication.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ProgressMode {
-    /// Inline state machine: deposits happen on the posting rank at
-    /// post points; waits poll/back off on a condvar.
-    #[default]
-    Polled,
-    /// Dedicated per-rank progress thread: deposits are shipped over a
-    /// FIFO and applied off the critical path.
-    Thread,
-}
-
-impl ProgressMode {
-    pub const fn name(self) -> &'static str {
-        match self {
-            ProgressMode::Polled => "polled",
-            ProgressMode::Thread => "thread",
-        }
-    }
-
-    /// Parses the `--progress` flag value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "polled" => Ok(ProgressMode::Polled),
-            "thread" => Ok(ProgressMode::Thread),
-            other => Err(format!("unknown progress mode '{other}' (expected polled|thread)")),
-        }
-    }
-}
-
-/// One in-flight AllReduce: contribution slots in rank order, plus how
-/// many ranks have already consumed the completed sum (the last one
-/// retires the slot).
-struct ReduceOp {
-    contribs: Vec<Option<Vec<f32>>>,
-    taken: usize,
-}
-
-/// Engine state shared by all ranks of one cluster run.
-struct EngineState {
-    /// In-flight AllReduce ops keyed by per-rank sequence number (all
-    /// ranks post the same SPMD sequence, so sequence n names the same
-    /// logical collective everywhere).
-    reduce: HashMap<u64, ReduceOp>,
-    /// Per-link AlltoAllv FIFOs, `a2a[src][dst]`: the n-th payload
-    /// pushed on a link is consumed by the n-th wait on it.
-    a2a: Vec<Vec<VecDeque<Vec<f32>>>>,
-}
-
-/// A deposit shipped to a progress thread (thread mode only).
-enum Job {
-    Reduce { seq: u64, rank: usize, data: Vec<f32> },
-    Exchange { src: usize, items: Vec<(usize, Vec<f32>)> },
-}
-
-struct EngineInner {
-    size: usize,
-    state: Mutex<EngineState>,
-    arrived: Condvar,
-}
-
-impl EngineInner {
-    fn deposit_reduce(&self, seq: u64, rank: usize, data: Vec<f32>) {
-        let size = self.size;
-        let mut st = self.state.lock().expect("engine lock poisoned");
-        let op = st
-            .reduce
-            .entry(seq)
-            .or_insert_with(|| ReduceOp { contribs: vec![None; size], taken: 0 });
-        debug_assert!(op.contribs[rank].is_none(), "duplicate reduce contribution");
-        op.contribs[rank] = Some(data);
-        drop(st);
-        self.arrived.notify_all();
-    }
-
-    fn deposit_exchange(&self, src: usize, items: Vec<(usize, Vec<f32>)>) {
-        let mut st = self.state.lock().expect("engine lock poisoned");
-        for (dst, payload) in items {
-            st.a2a[src][dst].push_back(payload);
-        }
-        drop(st);
-        self.arrived.notify_all();
-    }
-
-    fn run_worker(self: Arc<Self>, rx: mpsc::Receiver<Job>) {
-        for job in rx {
-            match job {
-                Job::Reduce { seq, rank, data } => self.deposit_reduce(seq, rank, data),
-                Job::Exchange { src, items } => self.deposit_exchange(src, items),
-            }
-        }
-    }
-}
-
-struct Worker {
-    tx: Sender<Job>,
-    handle: JoinHandle<()>,
-}
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// The shared progress engine of one cluster run. Owned by the
 /// cluster's `Shared` state; ranks reach it through their `RankCtx`.
 pub(crate) struct ProgressEngine {
-    inner: Arc<EngineInner>,
-    /// Lazily spawned per-rank progress threads (thread mode only).
-    workers: Vec<Mutex<Option<Worker>>>,
+    size: usize,
+    /// Per-link FIFOs, `a2a[src][dst]`: the n-th payload pushed on a
+    /// link is consumed by the n-th wait on it.
+    a2a: Mutex<Vec<Vec<VecDeque<Vec<f32>>>>>,
+    arrived: Condvar,
 }
 
 impl ProgressEngine {
     pub(crate) fn new(size: usize) -> Self {
         ProgressEngine {
-            inner: Arc::new(EngineInner {
-                size,
-                state: Mutex::new(EngineState {
-                    reduce: HashMap::new(),
-                    a2a: (0..size).map(|_| (0..size).map(|_| VecDeque::new()).collect()).collect(),
-                }),
-                arrived: Condvar::new(),
-            }),
-            workers: (0..size).map(|_| Mutex::new(None)).collect(),
+            size,
+            a2a: Mutex::new(
+                (0..size).map(|_| (0..size).map(|_| VecDeque::new()).collect()).collect(),
+            ),
+            arrived: Condvar::new(),
         }
     }
 
-    /// Applies a deposit for `rank`: inline in polled mode, via the
-    /// rank's progress thread in thread mode. Per-rank FIFO order is
-    /// preserved either way.
-    fn submit(&self, rank: usize, mode: ProgressMode, job: Job) {
-        match mode {
-            ProgressMode::Polled => match job {
-                Job::Reduce { seq, rank, data } => self.inner.deposit_reduce(seq, rank, data),
-                Job::Exchange { src, items } => self.inner.deposit_exchange(src, items),
-            },
-            ProgressMode::Thread => {
-                let mut slot = self.workers[rank].lock().expect("worker lock poisoned");
-                let worker = slot.get_or_insert_with(|| {
-                    let (tx, rx) = mpsc::channel();
-                    let inner = Arc::clone(&self.inner);
-                    Worker { tx, handle: std::thread::spawn(move || inner.run_worker(rx)) }
-                });
-                worker.tx.send(job).expect("progress thread exited early");
+    /// Queues `outgoing[dst]` on link `src → dst` for every peer `dst`;
+    /// the own slot `outgoing[src]` is ignored.
+    pub(crate) fn post_exchange(&self, src: usize, outgoing: Vec<Vec<f32>>) {
+        let mut a2a = self.links();
+        for (dst, payload) in outgoing.into_iter().enumerate() {
+            if dst != src {
+                a2a[src][dst].push_back(payload);
             }
         }
-    }
-
-    pub(crate) fn post_reduce(&self, rank: usize, mode: ProgressMode, seq: u64, data: Vec<f32>) {
-        self.submit(rank, mode, Job::Reduce { seq, rank, data });
-    }
-
-    pub(crate) fn post_exchange(
-        &self,
-        rank: usize,
-        mode: ProgressMode,
-        items: Vec<(usize, Vec<f32>)>,
-    ) {
-        self.submit(rank, mode, Job::Exchange { src: rank, items });
-    }
-
-    /// True once every rank's contribution to reduce op `seq` arrived.
-    pub(crate) fn reduce_ready(&self, seq: u64) -> bool {
-        let st = self.state();
-        st.reduce.get(&seq).is_some_and(|op| op.contribs.iter().all(Option::is_some))
-    }
-
-    /// True once a payload from every peer (`src != rank`) is queued.
-    pub(crate) fn exchange_ready(&self, rank: usize) -> bool {
-        let st = self.state();
-        (0..self.inner.size).all(|src| src == rank || !st.a2a[src][rank].is_empty())
-    }
-
-    /// Blocks until reduce op `seq` is complete, then returns the sum
-    /// accumulated in ascending rank order (bit-identical to the
-    /// blocking AllReduce). The last rank to collect retires the slot.
-    pub(crate) fn wait_reduce(&self, seq: u64, len: usize) -> Vec<f32> {
-        let mut st = self.state();
-        while !st.reduce.get(&seq).is_some_and(|op| op.contribs.iter().all(Option::is_some)) {
-            st = self.inner.arrived.wait(st).expect("engine lock poisoned");
-        }
-        let op = st.reduce.get_mut(&seq).expect("completeness checked above");
-        let mut out = vec![0.0f32; len];
-        for contrib in op.contribs.iter() {
-            let c = contrib.as_ref().expect("completeness checked above");
-            assert_eq!(c.len(), len, "all_reduce_sum_async length mismatch");
-            for (o, &x) in out.iter_mut().zip(c.iter()) {
-                *o += x;
-            }
-        }
-        op.taken += 1;
-        if op.taken == self.inner.size {
-            st.reduce.remove(&seq);
-        }
-        out
+        drop(a2a);
+        self.arrived.notify_all();
     }
 
     /// Blocks until one payload from each peer is available, then pops
     /// them in ascending source order. `own` re-enters at `incoming[rank]`.
     pub(crate) fn wait_exchange(&self, rank: usize, own: Vec<f32>) -> Vec<Vec<f32>> {
-        let size = self.inner.size;
-        let mut incoming: Vec<Vec<f32>> = (0..size).map(|_| Vec::new()).collect();
+        let mut incoming: Vec<Vec<f32>> = (0..self.size).map(|_| Vec::new()).collect();
         incoming[rank] = own;
-        let mut st = self.state();
+        let mut a2a = self.links();
         for (src, slot) in incoming.iter_mut().enumerate() {
             if src == rank {
                 continue;
             }
-            while st.a2a[src][rank].is_empty() {
-                st = self.inner.arrived.wait(st).expect("engine lock poisoned");
+            while a2a[src][rank].is_empty() {
+                a2a = self.arrived.wait(a2a).expect("engine lock poisoned");
             }
-            *slot = st.a2a[src][rank].pop_front().expect("non-empty checked above");
+            *slot = a2a[src][rank].pop_front().expect("non-empty checked above");
         }
         incoming
     }
 
-    fn state(&self) -> std::sync::MutexGuard<'_, EngineState> {
-        self.inner.state.lock().expect("engine lock poisoned")
-    }
-}
-
-impl Drop for ProgressEngine {
-    fn drop(&mut self) {
-        for slot in &self.workers {
-            if let Some(worker) = slot.lock().expect("worker lock poisoned").take() {
-                drop(worker.tx);
-                worker.handle.join().expect("progress thread panicked");
-            }
-        }
+    fn links(&self) -> MutexGuard<'_, Vec<Vec<VecDeque<Vec<f32>>>>> {
+        self.a2a.lock().expect("engine lock poisoned")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn progress_mode_parses_both_spellings() {
-        assert_eq!(ProgressMode::parse("polled"), Ok(ProgressMode::Polled));
-        assert_eq!(ProgressMode::parse("thread"), Ok(ProgressMode::Thread));
-        assert!(ProgressMode::parse("eager").is_err());
-        assert_eq!(ProgressMode::Polled.name(), "polled");
-        assert_eq!(ProgressMode::Thread.name(), "thread");
-    }
-
-    #[test]
-    fn reduce_completes_in_ascending_rank_order() {
-        for mode in [ProgressMode::Polled, ProgressMode::Thread] {
-            let eng = ProgressEngine::new(3);
-            // Deliberately post out of rank order; the sum order must
-            // not depend on arrival order.
-            eng.post_reduce(2, mode, 0, vec![3.0, 30.0]);
-            eng.post_reduce(0, mode, 0, vec![1.0, 10.0]);
-            assert!(!eng.reduce_ready(0) || mode == ProgressMode::Thread);
-            eng.post_reduce(1, mode, 0, vec![2.0, 20.0]);
-            for _ in 0..3 {
-                assert_eq!(eng.wait_reduce(0, 2), vec![6.0, 60.0], "mode {mode:?}");
-            }
-            // The slot is retired after the last taker.
-            assert!(!eng.reduce_ready(0));
-        }
-    }
+    use std::sync::Arc;
 
     #[test]
     fn exchange_queues_are_fifo_per_link() {
         let eng = ProgressEngine::new(2);
-        let m = ProgressMode::Polled;
-        eng.post_exchange(0, m, vec![(1, vec![1.0])]);
-        eng.post_exchange(0, m, vec![(1, vec![2.0])]);
-        eng.post_exchange(1, m, vec![(0, vec![9.0])]);
-        eng.post_exchange(1, m, vec![(0, vec![8.0])]);
+        eng.post_exchange(0, vec![Vec::new(), vec![1.0]]);
+        eng.post_exchange(0, vec![Vec::new(), vec![2.0]]);
+        eng.post_exchange(1, vec![vec![9.0], Vec::new()]);
+        eng.post_exchange(1, vec![vec![8.0], Vec::new()]);
         let first = eng.wait_exchange(1, vec![0.5]);
         assert_eq!(first, vec![vec![1.0], vec![0.5]]);
         let second = eng.wait_exchange(1, vec![0.6]);
@@ -322,29 +102,14 @@ mod tests {
     }
 
     #[test]
-    fn thread_mode_preserves_per_rank_fifo_order() {
-        let eng = ProgressEngine::new(2);
-        for i in 0..64 {
-            eng.post_exchange(0, ProgressMode::Thread, vec![(1, vec![i as f32])]);
-        }
-        for i in 0..64 {
-            let got = eng.wait_exchange(1, Vec::new());
-            assert_eq!(got[0], vec![i as f32]);
-        }
-    }
-
-    #[test]
     fn wait_blocks_until_peer_posts() {
         let eng = Arc::new(ProgressEngine::new(2));
         std::thread::scope(|s| {
             let e = Arc::clone(&eng);
-            let waiter = s.spawn(move || e.wait_reduce(5, 1));
-            eng.post_reduce(1, ProgressMode::Polled, 5, vec![2.0]);
+            let waiter = s.spawn(move || e.wait_exchange(1, vec![0.5]));
             std::thread::sleep(std::time::Duration::from_millis(20));
-            eng.post_reduce(0, ProgressMode::Polled, 5, vec![3.0]);
-            assert_eq!(waiter.join().unwrap(), vec![5.0]);
+            eng.post_exchange(0, vec![Vec::new(), vec![3.0]]);
+            assert_eq!(waiter.join().unwrap(), vec![vec![3.0], vec![0.5]]);
         });
-        // Drain rank 0's pending read so the slot retires cleanly.
-        assert_eq!(eng.wait_reduce(5, 1), vec![5.0]);
     }
 }

@@ -35,11 +35,9 @@ pub struct CommStats {
     max_staleness: AtomicU64,
     staleness_violations: AtomicU64,
     stale_hist: [AtomicU64; STALE_BUCKETS],
-    // Handle-based async collectives (zero on the blocking paths).
+    // Handle-based collectives (the cd-0 clone-sync exchanges).
     handle_ops_posted: AtomicU64,
     handle_ops_completed: AtomicU64,
-    handle_wait_ns: AtomicU64,
-    handle_overlap_ns: AtomicU64,
 }
 
 impl CommStats {
@@ -131,20 +129,14 @@ impl CommStats {
         }
     }
 
-    /// A handle-based async collective was posted.
+    /// A handle-based collective was posted.
     pub fn record_handle_posted(&self) {
         self.handle_ops_posted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A handle-based async collective completed at its wait point:
-    /// `wait_ns` is the time the rank actually blocked, `overlap_ns`
-    /// the post-to-wait interval the communication had to make
-    /// progress behind compute (the wait the blocking schedule would
-    /// have eaten up front).
-    pub fn record_handle_completed(&self, wait_ns: u64, overlap_ns: u64) {
+    /// A handle-based collective completed at its wait point.
+    pub fn record_handle_completed(&self) {
         self.handle_ops_completed.fetch_add(1, Ordering::Relaxed);
-        self.handle_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        self.handle_overlap_ns.fetch_add(overlap_ns, Ordering::Relaxed);
     }
 
     pub fn bytes_sent(&self) -> u64 {
@@ -183,8 +175,6 @@ impl CommStats {
             stale_hist,
             handle_ops_posted: self.handle_ops_posted.load(Ordering::Relaxed),
             handle_ops_completed: self.handle_ops_completed.load(Ordering::Relaxed),
-            handle_wait_ns: self.handle_wait_ns.load(Ordering::Relaxed),
-            handle_overlap_ns: self.handle_overlap_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -220,18 +210,12 @@ pub struct CommSnapshot {
     pub staleness_violations: u64,
     /// Histogram of consumed-partial ages; last bucket saturates.
     pub stale_hist: [u64; STALE_BUCKETS],
-    /// Async handle-based collectives posted. All four handle fields
-    /// stay zero on the blocking paths, so the chaos suite's
-    /// snapshot-equality proofs (which never post handles) are
-    /// unaffected by the wall-clock nanosecond fields below.
+    /// Handle-based collectives posted: the cd-0 clone-sync exchanges.
+    /// Counts only, no wall-clock fields, so seeded runs still produce
+    /// equal snapshots.
     pub handle_ops_posted: u64,
-    /// Async handles retired at their wait point.
+    /// Handles retired at their wait point.
     pub handle_ops_completed: u64,
-    /// Nanoseconds actually blocked inside handle waits.
-    pub handle_wait_ns: u64,
-    /// Nanoseconds between post and wait — comm progressed behind
-    /// compute; the blocking schedule would have waited this up front.
-    pub handle_overlap_ns: u64,
 }
 
 impl CommSnapshot {
@@ -351,12 +335,10 @@ mod tests {
         let s = CommStats::new();
         s.record_handle_posted();
         s.record_handle_posted();
-        s.record_handle_completed(120, 480);
+        s.record_handle_completed();
         let snap = s.snapshot();
         assert_eq!(snap.handle_ops_posted, 2);
         assert_eq!(snap.handle_ops_completed, 1);
-        assert_eq!(snap.handle_wait_ns, 120);
-        assert_eq!(snap.handle_overlap_ns, 480);
     }
 
     #[test]

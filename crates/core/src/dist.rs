@@ -14,14 +14,13 @@ use crate::drpa::RankAggregator;
 use crate::model::{apply_flat_grads, GraphSage, SageConfig, SageWorkspace};
 use distgnn_comm::stats::CommSnapshot;
 use distgnn_comm::{
-    AllReduceHandle, Cluster, CommError, ErrorFeedback, FaultPlan, PendingMsg, ProgressMode,
-    RankCtx, RetryPolicy, WireCodec,
+    Cluster, CommError, ErrorFeedback, FaultPlan, PendingMsg, RankCtx, RetryPolicy, WireCodec,
 };
 use crate::elastic::{merge_cluster_state, reshard_states};
 use distgnn_graph::{Dataset, EdgeList};
 use distgnn_io::{
-    encode_train_state_mode, list_checkpoints, load_cluster_state, save_cluster_manifest,
-    save_train_state_mode, AsyncCheckpointWriter, CheckpointMode, PendingWire, TrainState,
+    list_checkpoints, load_cluster_state, save_cluster_manifest, save_train_state_mode,
+    CheckpointMode, PendingWire, TrainState,
 };
 use distgnn_kernels::AggregationConfig;
 use distgnn_nn::{Adam, AdamConfig};
@@ -83,12 +82,6 @@ pub struct DistConfig {
     pub checkpoint_every: usize,
     /// Root directory for `ckpt-<epoch>/` checkpoint directories.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Overlap-first epoch loop: post gradient AllReduces layer-by-layer
-    /// during backward, run clone-sync exchanges through the progress
-    /// engine, and hand checkpoints to a background writer. `None` (the
-    /// default) keeps the blocking loop; either mode trains to
-    /// bit-identical parameters (same reduction order, see DESIGN.md).
-    pub overlap: Option<ProgressMode>,
     /// Wire codec for compressed communication: gradient AllReduces
     /// run through error-feedback compression and DRPA exchanges ship
     /// delta-encoded payloads. [`WireCodec::None`] (the default) takes
@@ -163,7 +156,6 @@ impl DistConfig {
             retry: RetryPolicy::standard(),
             checkpoint_every: 0,
             checkpoint_dir: None,
-            overlap: None,
             codec: WireCodec::None,
             grad_codec: None,
             error_feedback: true,
@@ -536,6 +528,9 @@ impl DistTrainer {
             "checkpoint epoch {start_epoch} is beyond the configured {} epochs",
             config.epochs
         );
+        if let Some(states) = resume {
+            check_residual_layout(config, states);
+        }
         let rank_data = prepare_rank_data(dataset, pg);
         let global_train = dataset.train_mask.len().max(1) as f32;
 
@@ -560,22 +555,10 @@ impl DistTrainer {
             }
         };
 
-        // Background checkpoint writer for the overlapped loop; shared
-        // by all rank threads, drained after they join.
-        let ckpt_writer = match (&config.overlap, &config.checkpoint_dir) {
-            (Some(_), Some(dir)) if config.checkpoint_every > 0 => {
-                Some(AsyncCheckpointWriter::new(dir, k))
-            }
-            _ => None,
-        };
-
         let (results, comm) =
             Cluster::run_with(k, &config.faults, Some(recorders), config.generation, |ctx| {
             let me = ctx.rank();
             let data = &rank_data[me];
-            if let Some(mode) = config.overlap {
-                ctx.set_progress_mode(mode);
-            }
             let mut model = GraphSage::new(&config.model);
             let mut adam = Adam::new(AdamConfig {
                 weight_decay: config.weight_decay,
@@ -583,20 +566,13 @@ impl DistTrainer {
             });
             let mut agg = RankAggregator::new(ctx, pg, config.mode, config.kernel)
                 .with_retry_policy(config.retry)
-                .with_overlap(config.overlap.is_some())
                 .with_codec(config.codec);
-            // Error-feedback streams for compressed gradient AllReduces:
-            // the blocking loop reduces one flat buffer (one residual),
-            // the overlapped loop reduces per layer (one residual each).
-            // The loss/accuracy scalars always travel uncompressed.
+            // Error-feedback stream for the compressed gradient
+            // AllReduce: one flat buffer, one residual. The loss/accuracy
+            // scalars always travel uncompressed.
             let grad_codec = config.gradient_codec();
-            let compressing = !grad_codec.is_identity();
-            let mut efs: Vec<ErrorFeedback> = if compressing {
-                let n = if config.overlap.is_some() { model.num_layers() } else { 1 };
-                (0..n).map(|_| ErrorFeedback::new(config.error_feedback)).collect()
-            } else {
-                Vec::new()
-            };
+            let mut ef =
+                (!grad_codec.is_identity()).then(|| ErrorFeedback::new(config.error_feedback));
             if let Some(states) = resume {
                 let st = &states[me];
                 model.read_params(&st.params);
@@ -605,8 +581,8 @@ impl DistTrainer {
                 // Residuals are part of the trajectory: a resumed run
                 // that zeroed them would ship different compressed
                 // gradients than the uninterrupted run from the same
-                // epoch.
-                for (ef, r) in efs.iter_mut().zip(&st.residuals) {
+                // epoch. Their layout was checked before launch.
+                if let (Some(ef), Some(r)) = (ef.as_mut(), st.residuals.first()) {
                     ef.restore_residual(r);
                 }
                 ctx.restore_outbox(&wires_to_msgs(&st.outbox));
@@ -657,62 +633,19 @@ impl DistTrainer {
                 );
 
                 let mut loss_buf = [loss_contrib];
-                if config.overlap.is_some() {
-                    // Overlapped: the loss AllReduce is posted before
-                    // backward even starts, and each layer's gradient
-                    // AllReduce is posted the moment that layer's
-                    // grad_weight/grad_bias are final — the reductions
-                    // progress while the remaining layers are still
-                    // differentiating, and nothing blocks until the
-                    // optimizer actually needs the sums.
-                    let loss_handle = ctx.all_reduce_sum_async(vec![loss_contrib]);
-                    let mut grad_handles: Vec<Option<AllReduceHandle>> = Vec::new();
-                    grad_handles.resize_with(model.num_layers(), || None);
-                    model.backward_into_with(&mut agg, &mut ws, |l, grads| {
-                        let w = grads.grad_weight.as_slice();
-                        let mut payload = Vec::with_capacity(w.len() + grads.grad_bias.len());
-                        payload.extend_from_slice(w);
-                        payload.extend_from_slice(&grads.grad_bias);
-                        grad_handles[l] = Some(if compressing {
-                            ctx.all_reduce_sum_compressed_async(payload, &grad_codec, &mut efs[l])
-                        } else {
-                            ctx.all_reduce_sum_async(payload)
-                        });
-                    });
-                    drop(bwd);
-                    let opt = rec.scope(Phase::Optimizer);
-                    // Waiting ascending-layer rebuilds the same flat
-                    // layout as `flatten_grads_into`; each element is
-                    // summed in ascending rank order either way, so the
-                    // update is bit-identical to the blocking loop.
-                    flat.clear();
-                    for h in &mut grad_handles {
-                        let seg = ctx.all_reduce_wait(h.take().expect("posted in backward"));
-                        flat.extend_from_slice(&seg);
-                    }
-                    loss_buf[0] = ctx.all_reduce_wait(loss_handle)[0];
-                    apply_flat_grads(&mut model, &mut adam, &flat);
-                    // The blocking loop's two AllReduces cross four
-                    // barriers here; keep the delay-visibility clock in
-                    // step so fault arithmetic stays bit-identical.
-                    ctx.advance_local_clock(4);
-                    drop(opt);
-                } else {
-                    model.backward_into(&mut agg, &mut ws);
-                    drop(bwd);
-                    // The gradient AllReduce's comm spans nest inside
-                    // Optimizer and split out via leaf attribution.
-                    let opt = rec.scope(Phase::Optimizer);
-                    ws.flatten_grads_into(&mut flat);
-                    if compressing {
-                        ctx.all_reduce_sum_compressed(&mut flat, &grad_codec, &mut efs[0]);
-                    } else {
-                        ctx.all_reduce_sum(&mut flat);
-                    }
-                    ctx.all_reduce_sum(&mut loss_buf);
-                    apply_flat_grads(&mut model, &mut adam, &flat);
-                    drop(opt);
+                model.backward_into(&mut agg, &mut ws);
+                drop(bwd);
+                // The gradient AllReduce's comm spans nest inside
+                // Optimizer and split out via leaf attribution.
+                let opt = rec.scope(Phase::Optimizer);
+                ws.flatten_grads_into(&mut flat);
+                match ef.as_mut() {
+                    Some(ef) => ctx.all_reduce_sum_compressed(&mut flat, &grad_codec, ef),
+                    None => ctx.all_reduce_sum(&mut flat),
                 }
+                ctx.all_reduce_sum(&mut loss_buf);
+                apply_flat_grads(&mut model, &mut adam, &flat);
+                drop(opt);
 
                 let (lat, rat, backward_agg) = agg.take_times();
                 epochs.push(RankEpoch {
@@ -738,50 +671,16 @@ impl DistTrainer {
                 if config.checkpoint_every > 0 && (e + 1) % config.checkpoint_every == 0 {
                     if let Some(dir) = &config.checkpoint_dir {
                         let ck = rec.scope(Phase::Checkpoint);
-                        if let Some(writer) = ckpt_writer.as_ref() {
-                            // Async snapshot: capture + encode in memory,
-                            // hand the bytes to the background writer.
-                            // The blocking protocol crosses six barriers
-                            // (skip vote, staging, vote, commit); two
-                            // stay real — capture must happen at the
-                            // same logical instant on every rank, and
-                            // no rank may resume training (consuming
-                            // in-flight tagged messages) before every
-                            // rank has captured — and the other four
-                            // become local clock advances so
-                            // delay-fault arithmetic matches.
-                            ctx.advance_local_clock(2);
-                            ctx.barrier();
-                            let state = TrainState {
-                                epoch: (e + 1) as u64,
-                                rank: me as u32,
-                                ranks: k as u32,
-                                generation: ctx.membership_generation(),
-                                params: model.write_params(),
-                                adam: adam.write_state(),
-                                drpa: agg.export_state(),
-                                outbox: msgs_to_wires(ctx.export_outbox()),
-                                residuals: efs.iter().map(|ef| ef.residual().to_vec()).collect(),
-                            };
-                            writer.submit(
-                                (e + 1) as u64,
-                                me,
-                                encode_train_state_mode(&state, ckpt_mode(config)),
-                            );
-                            ctx.barrier();
-                            ctx.advance_local_clock(2);
-                        } else {
-                            write_cluster_checkpoint(
-                                ctx,
-                                dir,
-                                (e + 1) as u64,
-                                &model,
-                                &adam,
-                                &agg,
-                                &efs,
-                                ckpt_mode(config),
-                            );
-                        }
+                        write_cluster_checkpoint(
+                            ctx,
+                            dir,
+                            (e + 1) as u64,
+                            &model,
+                            &adam,
+                            &agg,
+                            ef.as_ref(),
+                            ckpt_mode(config),
+                        );
                         drop(ck);
                     }
                 }
@@ -825,13 +724,6 @@ impl DistTrainer {
                 failure,
             }
         });
-
-        // Drain the background writer before anything (a recovery
-        // supervisor, a test) lists the checkpoint store: after this,
-        // every submitted epoch is committed or cleanly aborted.
-        if let Some(writer) = ckpt_writer {
-            let _ = writer.finish();
-        }
 
         // A collective abort leaves every rank with a failure at the
         // same epoch; surface the root cause (a concrete missing
@@ -990,8 +882,6 @@ pub fn build_metrics(
         rank.set(Metric::StalenessViolations, snap.staleness_violations);
         rank.set(Metric::HandleOpsPosted, snap.handle_ops_posted);
         rank.set(Metric::HandleOpsCompleted, snap.handle_ops_completed);
-        rank.set(Metric::HandleWaitNs, snap.handle_wait_ns);
-        rank.set(Metric::HandleOverlapNs, snap.handle_overlap_ns);
         rank.set(Metric::LogicalBytesSent, snap.logical_bytes_sent);
         rank.set(Metric::LogicalBytesReceived, snap.logical_bytes_received);
         rank.set(Metric::StaleGenerationDropped, snap.stale_generation_dropped);
@@ -1053,6 +943,33 @@ fn msgs_to_wires(msgs: Vec<PendingMsg>) -> Vec<PendingWire> {
         .collect()
 }
 
+/// Refuses to resume `states` into a run whose compressed gradient
+/// stream does not match their error-feedback residuals: the run keeps
+/// one residual, as long as the flat gradient, when it compresses and
+/// none otherwise. Restoring any other layout would reset or drop the
+/// residual and fork the trajectory without a word.
+fn check_residual_layout(config: &DistConfig, states: &[TrainState]) {
+    let streams = usize::from(!config.gradient_codec().is_identity());
+    let flat_len: usize = config.model.layer_dims().iter().map(|&(i, o)| i * o + o).sum();
+    for st in states {
+        let lens: Vec<usize> = st.residuals.iter().map(Vec::len).collect();
+        assert!(
+            lens.len() == streams && lens.iter().all(|&n| n == flat_len),
+            "checkpoint rank {} holds error-feedback residuals of lengths {lens:?}, but this run \
+             compresses its gradient in {streams} flat stream(s) of {flat_len} values",
+            st.rank
+        );
+    }
+}
+
+fn ckpt_mode(config: &DistConfig) -> CheckpointMode {
+    if config.lossy_checkpoints {
+        CheckpointMode::LossyBf16
+    } else {
+        CheckpointMode::Lossless
+    }
+}
+
 /// The consistent-checkpoint protocol, entered by all ranks at the same
 /// epoch barrier:
 ///
@@ -1067,14 +984,6 @@ fn msgs_to_wires(msgs: Vec<PendingMsg>) -> Vec<PendingWire> {
 /// 4. on a unanimous vote, rank 0 writes the manifest and commits with
 ///    an atomic directory rename; any failure aborts the checkpoint
 ///    (training continues — a missed snapshot only costs replay time).
-fn ckpt_mode(config: &DistConfig) -> CheckpointMode {
-    if config.lossy_checkpoints {
-        CheckpointMode::LossyBf16
-    } else {
-        CheckpointMode::Lossless
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn write_cluster_checkpoint(
     ctx: &RankCtx<'_>,
@@ -1083,7 +992,7 @@ fn write_cluster_checkpoint(
     model: &GraphSage,
     adam: &Adam,
     agg: &RankAggregator<'_, '_>,
-    efs: &[ErrorFeedback],
+    ef: Option<&ErrorFeedback>,
     mode: CheckpointMode,
 ) {
     let k = ctx.size();
@@ -1116,7 +1025,7 @@ fn write_cluster_checkpoint(
         adam: adam.write_state(),
         drpa: agg.export_state(),
         outbox: msgs_to_wires(ctx.export_outbox()),
-        residuals: efs.iter().map(|ef| ef.residual().to_vec()).collect(),
+        residuals: ef.iter().map(|ef| ef.residual().to_vec()).collect(),
     };
     ok = ok
         && save_train_state_mode(&staging.join(format!("rank-{me}.state")), &state, mode).is_ok();
@@ -1356,56 +1265,27 @@ mod tests {
         assert!(comm_ns > 0, "clone sync must record comm time");
     }
 
+    /// Every cd-0 clone sync posts its two exchanges through the
+    /// progress engine: 2 phases × forward and backward × layers per
+    /// epoch, plus the forward syncs of the evaluation pass. The
+    /// gradient and loss AllReduces post no handles.
     #[test]
-    fn overlapped_loop_matches_blocking_bit_for_bit() {
+    fn cd0_clone_syncs_record_handle_metrics() {
         let ds = tiny();
-        for mode in [DistMode::Oc, DistMode::Cd0, DistMode::CdR { delay: 2 }] {
-            let blocking = DistTrainer::launch(&ds, None, &cfg(&ds, mode, 3, 4), None)
-                .expect("distributed training failed");
-            for pm in [ProgressMode::Polled, ProgressMode::Thread] {
-                let mut c = cfg(&ds, mode, 3, 4);
-                c.overlap = Some(pm);
-                let overlapped = DistTrainer::launch(&ds, None, &c, None)
-                    .expect("distributed training failed");
-                assert_eq!(
-                    blocking.final_params, overlapped.final_params,
-                    "{} diverged under {pm:?} overlap",
-                    mode.name()
-                );
-                for (b, o) in blocking.epochs.iter().zip(&overlapped.epochs) {
-                    assert_eq!(b.loss.to_bits(), o.loss.to_bits(), "loss drift in {mode:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_loop_records_handle_metrics() {
-        let ds = tiny();
-        let mut c = cfg(&ds, DistMode::Cd0, 3, 3);
-        c.overlap = Some(ProgressMode::Polled);
+        let c = cfg(&ds, DistMode::Cd0, 3, 3);
         let hub = distgnn_telemetry::TelemetryHub::new(3, Default::default());
         let r = DistTrainer::launch(&ds, None, &c, Some(&hub)).unwrap();
         let reg = build_metrics(&c, &r, &hub);
+        let layers = c.model.layer_dims().len() as u64;
         for rank in 0..3 {
             let m = reg.rank(rank);
-            assert!(m.get(Metric::HandleOpsPosted) > 0, "no handle ops posted");
+            assert_eq!(m.get(Metric::HandleOpsPosted), 2 * 2 * layers * 3 + 2 * layers);
             assert_eq!(
                 m.get(Metric::HandleOpsPosted),
                 m.get(Metric::HandleOpsCompleted),
                 "every posted handle must be waited"
             );
-            assert!(m.get(Metric::HandleWaitNs) > 0);
         }
-        // The blocking loop must not touch handle counters.
-        let blocking = DistTrainer::launch(
-            &ds,
-            None,
-            &cfg(&ds, DistMode::Cd0, 3, 3),
-            Some(&distgnn_telemetry::TelemetryHub::new(3, Default::default())),
-        )
-        .unwrap();
-        assert!(blocking.per_rank_comm.iter().all(|s| s.handle_ops_posted == 0));
     }
 
     #[test]

@@ -237,7 +237,6 @@ pub struct RankAggregator<'a, 'b> {
     codec: WireCodec,
     codec_state: CodecState,
     retry: RetryPolicy,
-    overlap: bool,
     epoch: u64,
     /// First communication failure observed by a sync; forward/backward
     /// cannot return errors through the `Aggregator` trait, so the
@@ -284,7 +283,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
             codec: WireCodec::None,
             codec_state: CodecState::default(),
             retry: RetryPolicy::standard(),
-            overlap: false,
             epoch: 0,
             error: None,
             lat: Duration::ZERO,
@@ -311,16 +309,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
     /// [`RetryPolicy::none`] restores fail-fast semantics.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Routes the blocking clone-sync exchanges through the progress
-    /// engine (post + wait instead of the barrier-stepped collective).
-    /// Payloads and reduction order are unchanged, so results stay
-    /// bit-identical; under an active fault plan the engine falls back
-    /// to the retrying collective internally.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
         self
     }
 
@@ -445,7 +433,6 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
                     phases,
                     &self.codec,
                     &self.retry,
-                    self.overlap,
                 )
                 .err();
             }
@@ -542,6 +529,11 @@ impl Aggregator for RankAggregator<'_, '_> {
 /// raw rows and any other codec ships deltas against the route
 /// mirrors.
 ///
+/// Each phase posts its AlltoAllv to the progress engine and waits on
+/// the handle: fault-free, the per-link FIFOs deliver what the blocking
+/// collective would, with no rendezvous barriers; under an armed fault
+/// plan the handle *is* the blocking [`RankCtx::all_to_all_v_retry`].
+///
 /// Transient delivery faults are absorbed by `retry` (bounded
 /// barrier-stepped backoff); once the policy is exhausted, a missing
 /// peer payload aborts the sync on *every* rank (the AlltoAllv error is
@@ -560,16 +552,7 @@ fn sync_blocking(
     phases: (u64, u64),
     codec: &WireCodec,
     retry: &RetryPolicy,
-    overlap: bool,
 ) -> Result<(), CommError> {
-    let exchange = |outgoing: Vec<Vec<f32>>| -> Result<Vec<Vec<f32>>, CommError> {
-        if overlap {
-            let handle = ctx.all_to_all_v_async(outgoing, retry);
-            ctx.all_to_all_v_wait(handle)
-        } else {
-            ctx.all_to_all_v_retry(outgoing, retry)
-        }
-    };
     let k = ctx.size();
     let d = m.cols();
     // Phase 1: leaves -> roots (partial sums).
@@ -579,7 +562,7 @@ fn sync_blocking(
             send_rows(ctx, codec, state, (phases.0, layer, p), rows)
         })
         .collect();
-    let incoming = exchange(outgoing)?;
+    let incoming = ctx.all_to_all_v_wait(ctx.all_to_all_v_async(outgoing, retry))?;
     for (q, payload) in incoming.iter().enumerate() {
         let locals = &topo.routes_in[q].root_locals;
         let rows = recv_rows(ctx, codec, state, (phases.0, layer, q), payload, locals.len() * d);
@@ -592,7 +575,7 @@ fn sync_blocking(
             send_rows(ctx, codec, state, (phases.1, layer, q), rows)
         })
         .collect();
-    let incoming = exchange(outgoing)?;
+    let incoming = ctx.all_to_all_v_wait(ctx.all_to_all_v_async(outgoing, retry))?;
     for (p, payload) in incoming.iter().enumerate() {
         let locals = &topo.routes_out[p].leaf_locals;
         let rows = recv_rows(ctx, codec, state, (phases.1, layer, p), payload, locals.len() * d);

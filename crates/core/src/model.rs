@@ -231,21 +231,6 @@ impl GraphSage {
     /// there by the loss); leaves each layer's parameter gradients in
     /// `ws.layers[l].grads`.
     pub fn backward_into(&self, agg: &mut dyn Aggregator, ws: &mut SageWorkspace) {
-        self.backward_into_with(agg, ws, |_, _| {});
-    }
-
-    /// [`GraphSage::backward_into`] with a per-layer completion hook:
-    /// `on_layer_grads(l, grads)` fires as soon as layer `l`'s weight
-    /// and bias gradients are final (layers complete in descending
-    /// order). The overlapped trainer posts layer `l`'s gradient
-    /// AllReduce here, so the reduction makes progress while the
-    /// remaining layers are still differentiating.
-    pub fn backward_into_with(
-        &self,
-        agg: &mut dyn Aggregator,
-        ws: &mut SageWorkspace,
-        mut on_layer_grads: impl FnMut(usize, &LinearGrads),
-    ) {
         let num_layers = self.layers.len();
         assert_eq!(ws.layers.len(), num_layers, "workspace layer count");
         for l in (0..num_layers).rev() {
@@ -254,7 +239,6 @@ impl GraphSage {
                 &mut rest[0];
             self.layers[l].backward_into(agg_out, grad_z, grads, at_b_scratch);
             agg.backward_into(l, &grads.grad_input, grad_h);
-            on_layer_grads(l, grads);
             if l > 0 {
                 let pw = &mut prev[l - 1];
                 ops::relu_backward_into(grad_h, &pw.z, &mut pw.grad_z);

@@ -134,11 +134,11 @@ pub struct TrainState {
     pub adam: AdamState,
     pub drpa: DrpaState,
     pub outbox: Vec<PendingWire>,
-    /// Error-feedback residuals, one buffer per compressed gradient
-    /// stream (the flat gradient for blocking runs, one per layer for
-    /// overlapped runs). Empty when no lossy codec is active. Resuming
-    /// without these would silently drop the compression error carried
-    /// forward from the checkpoint epoch, forking the trajectory.
+    /// Error-feedback residuals: one buffer, as long as the flat
+    /// gradient, for the one compressed gradient stream. Empty when no
+    /// lossy codec is active. Resuming without these would silently
+    /// drop the compression error carried forward from the checkpoint
+    /// epoch, forking the trajectory.
     pub residuals: Vec<Vec<f32>>,
 }
 

@@ -24,7 +24,6 @@
 //! payloads carry CRC32 checksums so corruption surfaces as
 //! [`IoError::Corrupt`] instead of silently poisoned training state.
 
-pub mod async_writer;
 pub mod atomic;
 pub mod checkpoint;
 pub mod dataset;
@@ -32,7 +31,6 @@ pub mod edgelist;
 pub mod matrix;
 pub mod partition;
 
-pub use async_writer::{AsyncCheckpointWriter, CheckpointWriterReport};
 pub use atomic::{atomic_write, crc32};
 pub use checkpoint::{
     encode_train_state, encode_train_state_mode, latest_checkpoint, list_checkpoints,

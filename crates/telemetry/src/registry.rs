@@ -38,38 +38,36 @@ pub enum Metric {
     // Recovery supervisor.
     Restarts = 14,
     EpochsReplayed = 15,
-    // Handle-based async collectives (the overlap engine; zero on the
-    // blocking paths).
+    // Handle-based collectives: the cd-0 clone-sync exchanges posted
+    // to the progress engine (zero for `0c` and `cd-r`).
     HandleOpsPosted = 16,
     HandleOpsCompleted = 17,
-    HandleWaitNs = 18,
-    HandleOverlapNs = 19,
     // Compressed communication: pre-codec (logical) byte volumes; the
     // plain BytesSent/BytesReceived report what crossed the wire.
-    LogicalBytesSent = 20,
-    LogicalBytesReceived = 21,
+    LogicalBytesSent = 18,
+    LogicalBytesReceived = 19,
     // Elastic membership: crashed-rank shards adopted by survivors and
     // checkpointed in-flight messages dropped at restore for carrying a
     // dead generation's stamp.
-    Adoptions = 22,
-    StaleGenerationDropped = 23,
+    Adoptions = 20,
+    StaleGenerationDropped = 21,
     // Serving (the `distgnn-serve` query engine).
-    QueriesServed = 24,
-    QueryBatches = 25,
+    QueriesServed = 22,
+    QueryBatches = 23,
     /// Final-layer aggregation-cache hits: queries answered from a row
     /// whose cached aggregate was still current.
-    ServeCacheHits = 26,
+    ServeCacheHits = 24,
     /// Queries that found a delta-invalidated row and re-aggregated it
     /// lazily before answering.
-    ServeCacheMisses = 27,
-    DeltasApplied = 28,
+    ServeCacheMisses = 25,
+    DeltasApplied = 26,
     /// Cached rows recomputed by the incremental re-aggregation engine
     /// (eager hidden-layer rows plus lazy final-layer rows).
-    RowsReaggregated = 29,
+    RowsReaggregated = 27,
 }
 
 /// Number of [`Metric`] variants.
-pub const METRIC_COUNT: usize = 30;
+pub const METRIC_COUNT: usize = 28;
 
 /// All metrics, in discriminant order.
 pub const METRICS: [Metric; METRIC_COUNT] = [
@@ -91,8 +89,6 @@ pub const METRICS: [Metric; METRIC_COUNT] = [
     Metric::EpochsReplayed,
     Metric::HandleOpsPosted,
     Metric::HandleOpsCompleted,
-    Metric::HandleWaitNs,
-    Metric::HandleOverlapNs,
     Metric::LogicalBytesSent,
     Metric::LogicalBytesReceived,
     Metric::Adoptions,
@@ -127,8 +123,6 @@ impl Metric {
             Metric::EpochsReplayed => "epochs_replayed",
             Metric::HandleOpsPosted => "handle_ops_posted",
             Metric::HandleOpsCompleted => "handle_ops_completed",
-            Metric::HandleWaitNs => "handle_wait_ns",
-            Metric::HandleOverlapNs => "handle_overlap_ns",
             Metric::LogicalBytesSent => "logical_bytes_sent",
             Metric::LogicalBytesReceived => "logical_bytes_received",
             Metric::Adoptions => "adoptions",

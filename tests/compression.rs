@@ -151,26 +151,23 @@ fn topk_derives_a_quantized_gradient_codec() {
 
 /// `--compress none` takes the exact uncompressed code paths: final
 /// parameters and every per-epoch loss are bit-identical to a config
-/// that predates the codec entirely, in both epoch loops.
+/// that predates the codec entirely.
 #[test]
 fn compress_none_is_bit_identical_to_the_uncompressed_loop() {
     let ds = reddit(0.15);
-    for overlap in [None, Some(distgnn_suite::comm::ProgressMode::Polled)] {
-        let mut plain = cfg(&ds, DistMode::CdR { delay: 2 }, 6);
-        plain.overlap = overlap;
-        let mut none = plain.clone();
-        none.codec = WireCodec::None;
+    let plain = cfg(&ds, DistMode::CdR { delay: 2 }, 6);
+    let mut none = plain.clone();
+    none.codec = WireCodec::None;
 
-        let a = DistTrainer::launch(&ds, None, &plain, None).expect("distributed training failed");
-        let b = DistTrainer::launch(&ds, None, &none, None).expect("distributed training failed");
-        assert_eq!(a.final_params, b.final_params, "overlap={overlap:?}");
-        for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
-            assert_eq!(ea.loss.to_bits(), eb.loss.to_bits(), "overlap={overlap:?}");
-        }
-        let (aw, al) = total_sent(&a);
-        let (bw, bl) = total_sent(&b);
-        assert_eq!((aw, al), (bw, bl), "identity codec must not change comm volume");
+    let a = DistTrainer::launch(&ds, None, &plain, None).expect("distributed training failed");
+    let b = DistTrainer::launch(&ds, None, &none, None).expect("distributed training failed");
+    assert_eq!(a.final_params, b.final_params);
+    for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
+        assert_eq!(ea.loss.to_bits(), eb.loss.to_bits());
     }
+    let (aw, al) = total_sent(&a);
+    let (bw, bl) = total_sent(&b);
+    assert_eq!((aw, al), (bw, bl), "identity codec must not change comm volume");
 }
 
 /// Replica consistency: the compressed AllReduce deposits each rank's
@@ -197,28 +194,4 @@ fn compressed_replicas_stay_identical_across_ranks() {
             assert!(r.epochs.iter().all(|e| e.loss.is_finite()));
         }
     }
-}
-
-/// The overlapped epoch loop composes with compression: per-layer
-/// error-feedback AllReduces through the progress engine converge the
-/// same way, and replicas agree.
-#[test]
-fn overlapped_loop_composes_with_compression() {
-    let ds = reddit(0.2);
-    let mut base = cfg(&ds, DistMode::Cd0, 60);
-    let mut c = base.clone();
-    base.overlap = Some(distgnn_suite::comm::ProgressMode::Polled);
-    c.overlap = Some(distgnn_suite::comm::ProgressMode::Polled);
-    c.codec = WireCodec::TopK { percent: 10 };
-    let b = DistTrainer::launch(&ds, None, &base, None).expect("distributed training failed");
-    let r = DistTrainer::launch(&ds, None, &c, None).expect("distributed training failed");
-    assert_eq!(r.final_params[0], r.final_params[1]);
-    assert!(
-        (r.test_accuracy - b.test_accuracy).abs() < 0.05,
-        "overlapped top-k accuracy {} vs uncompressed {}",
-        r.test_accuracy,
-        b.test_accuracy
-    );
-    let (wire, logical) = total_sent(&r);
-    assert!(wire < logical);
 }

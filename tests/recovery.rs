@@ -352,32 +352,49 @@ fn compressed_cdr_kill_and_resume_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Strengthened for the overlap-first loop: the same cd-0 drill with
-/// the overlapped epoch loop and the *async* checkpoint writer. The
-/// background writer must have committed `ckpt-6` (and drained before
-/// the supervisor lists the store), and recovery must land on the
-/// uninterrupted same-seed run's exact parameters.
+/// Resume refuses a checkpoint whose error-feedback residuals do not
+/// match the run's one flat gradient stream — here one residual per
+/// layer — instead of silently resetting the residual to zero and
+/// forking the trajectory.
 #[test]
-fn overlapped_async_checkpoints_survive_kill_and_resume() {
-    use distgnn_suite::comm::ProgressMode;
+fn resume_refuses_a_mismatched_residual_layout() {
+    use distgnn_suite::comm::WireCodec;
+    use distgnn_suite::core::GraphSage;
+    use distgnn_suite::io::{save_cluster_manifest, save_train_state, TrainState};
     let ds = am(0.2);
-    let dir = scratch("overlap-cd0");
-    let mut chaos = DistConfig::new(&ds, DistMode::Cd0, 3, 12);
-    chaos.overlap = Some(ProgressMode::Polled);
-    chaos.checkpoint_every = 3;
-    chaos.checkpoint_dir = Some(dir.clone());
-    chaos.faults = FaultPlan::none().with_crash(1, 7);
-    chaos.max_restarts = 1;
+    let dir = scratch("residual-layout");
+    let mut cfg = DistConfig::new(&ds, DistMode::Cd0, 3, 4);
+    cfg.codec = WireCodec::Int8;
+    cfg.checkpoint_dir = Some(dir.clone());
+    cfg.resume = true;
+    let params = GraphSage::new(&cfg.model).write_params();
+    let per_layer: Vec<Vec<f32>> =
+        cfg.model.layer_dims().iter().map(|&(i, o)| vec![0.0; i * o + o]).collect();
+    assert_eq!(per_layer.len(), 3);
+    let ckpt = dir.join("ckpt-0");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    for rank in 0..3u32 {
+        let state = TrainState {
+            rank,
+            ranks: 3,
+            params: params.clone(),
+            residuals: per_layer.clone(),
+            ..TrainState::default()
+        };
+        save_train_state(&ckpt.join(format!("rank-{rank}.state")), &state).unwrap();
+    }
+    save_cluster_manifest(&ckpt, 0, 3).unwrap();
 
-    let rec = DistTrainer::launch(&ds, None, &chaos, None)
-        .expect("one restart must absorb the crash with async checkpoints");
-    assert_eq!(rec.restarts, 1);
-    assert_eq!(rec.epochs_replayed, 1, "the async writer must have committed ckpt-6");
-
-    let reference = DistTrainer::launch(&ds, None, &reference_of(&chaos), None).expect("reference");
-    assert_eq!(
-        rec.final_params, reference.final_params,
-        "async-checkpoint kill-and-resume must stay bit-identical"
+    let refused = std::panic::catch_unwind(|| DistTrainer::launch(&ds, None, &cfg, None))
+        .expect_err("a per-layer residual layout must not resume into a flat-stream run");
+    let msg = refused
+        .downcast_ref::<String>()
+        .expect("the refusal carries a formatted message");
+    let lens: Vec<usize> = per_layer.iter().map(Vec::len).collect();
+    assert!(msg.contains(&format!("{lens:?}")), "names the checkpoint's layout: {msg}");
+    assert!(
+        msg.contains(&format!("1 flat stream(s) of {} values", params.len())),
+        "names the run's layout: {msg}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
