@@ -22,6 +22,8 @@
 //! barriers, same fault decisions, same typed errors.
 
 use std::collections::VecDeque;
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// The shared progress engine of one cluster run. Owned by the
@@ -32,6 +34,11 @@ pub(crate) struct ProgressEngine {
     /// link is consumed by the n-th wait on it.
     a2a: Mutex<Vec<Vec<VecDeque<Vec<f32>>>>>,
     arrived: Condvar,
+    /// Waits entered on `arrived`, counted under the links lock just
+    /// before the wait releases it; tests read it to post only once a
+    /// waiter is really blocked.
+    #[cfg(test)]
+    waits: AtomicUsize,
 }
 
 impl ProgressEngine {
@@ -42,6 +49,8 @@ impl ProgressEngine {
                 (0..size).map(|_| (0..size).map(|_| VecDeque::new()).collect()).collect(),
             ),
             arrived: Condvar::new(),
+            #[cfg(test)]
+            waits: AtomicUsize::new(0),
         }
     }
 
@@ -69,6 +78,8 @@ impl ProgressEngine {
                 continue;
             }
             while a2a[src][rank].is_empty() {
+                #[cfg(test)]
+                self.waits.fetch_add(1, Ordering::SeqCst);
                 a2a = self.arrived.wait(a2a).expect("engine lock poisoned");
             }
             *slot = a2a[src][rank].pop_front().expect("non-empty checked above");
@@ -107,7 +118,12 @@ mod tests {
         std::thread::scope(|s| {
             let e = Arc::clone(&eng);
             let waiter = s.spawn(move || e.wait_exchange(1, vec![0.5]));
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            // The count rises under the links lock, which the condvar
+            // wait releases, so once it reads 1 the post below can only
+            // land after the waiter has blocked.
+            while eng.waits.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
             eng.post_exchange(0, vec![Vec::new(), vec![3.0]]);
             assert_eq!(waiter.join().unwrap(), vec![vec![3.0], vec![0.5]]);
         });

@@ -35,8 +35,9 @@
 //! [`ServeEngine::apply_deltas`] applies structural updates, then
 //! propagates a dirty set through the hidden layers: the vertices whose
 //! adjacency changed seed the set, each hidden layer re-aggregates
-//! exactly the dirty rows, and the set expands along out-edges between
-//! layers (a changed activation can only affect its out-neighbours).
+//! exactly the dirty rows and pushes them through its dense layer as one
+//! prefix product, and the set expands along out-edges between layers
+//! (a changed activation can only affect its out-neighbours).
 //! The final expansion stamps `input_version`, invalidating `agg_last`
 //! rows without touching them; queries re-aggregate on first miss.
 
@@ -170,9 +171,11 @@ pub struct ServeEngine {
     row_version: Vec<u64>,
     /// Scratch membership flags for delta propagation.
     dirty: Vec<bool>,
-    /// Per-hidden-layer `1 x in_dim` aggregation scratch.
+    /// Per-hidden-layer `rows x in_dim` aggregation scratch for the
+    /// dirty rows of a delta batch, grown to the largest dirty set seen.
     agg_scratch: Vec<Matrix>,
-    /// Per-hidden-layer `1 x out_dim` pre-activation scratch.
+    /// Per-hidden-layer `rows x out_dim` pre-activation scratch, grown
+    /// with `agg_scratch`.
     z_scratch: Vec<Matrix>,
     /// `max_batch x last_in` gathered stale aggregation rows.
     batch_agg: Matrix,
@@ -505,11 +508,19 @@ impl ServeEngine {
                 let input: &Matrix = if l == 0 { features } else { &before[l - 1] };
                 let ascr = &mut agg_scratch[l];
                 let zscr = &mut z_scratch[l];
-                for &v in &cur {
+                grow_rows(ascr, cur.len());
+                grow_rows(zscr, cur.len());
+                // Layer `l` reads only layer `l - 1`, so every dirty row
+                // can be aggregated first and pushed through the dense
+                // layer as one prefix product; each prefix row has the
+                // bits of the same row computed alone.
+                for (slot, &v) in cur.iter().enumerate() {
                     let v = v as usize;
-                    aggregate_row(&adj_in[v], input, degrees[v], v, ascr.row_mut(0));
-                    model.layers[l].forward_into(ascr, zscr);
-                    for (o, &z) in out_m.row_mut(v).iter_mut().zip(zscr.row(0)) {
+                    aggregate_row(&adj_in[v], input, degrees[v], v, ascr.row_mut(slot));
+                }
+                model.layers[l].forward_prefix_into(ascr, cur.len(), zscr);
+                for (slot, &v) in cur.iter().enumerate() {
+                    for (o, &z) in out_m.row_mut(v as usize).iter_mut().zip(zscr.row(slot)) {
                         *o = z.max(0.0);
                     }
                 }

@@ -4,6 +4,7 @@
 //! need: saxpy-style updates, Hadamard products, scaling, ReLU and its
 //! mask, and row-broadcast bias addition.
 
+use crate::matmul::ROW_BLOCK;
 use crate::Matrix;
 use rayon::prelude::*;
 
@@ -96,16 +97,14 @@ pub fn relu_backward_into(grad_out: &Matrix, pre_activation: &Matrix, out: &mut 
         });
 }
 
-/// Adds the bias row vector to every row of `a`.
+/// Adds the bias row vector to every row of `a`, one pool task per
+/// block of `ROW_BLOCK` (64) rows, the matmul kernel's grain.
 ///
 /// # Panics
 /// Panics if `bias.len() != a.cols()`.
 pub fn add_bias(a: &mut Matrix, bias: &[f32]) {
-    assert_eq!(bias.len(), a.cols(), "bias length mismatch");
-    let cols = a.cols();
-    a.as_mut_slice()
-        .par_chunks_mut(cols)
-        .for_each(|row| axpy(1.0, bias, row));
+    let rows = a.rows();
+    add_bias_prefix(a, rows, bias);
 }
 
 /// [`add_bias`] over the first `rows` rows only — the prefix twin used
@@ -120,8 +119,8 @@ pub fn add_bias_prefix(a: &mut Matrix, rows: usize, bias: &[f32]) {
     assert!(rows <= a.rows(), "add_bias_prefix: {rows} rows exceed buffer {}", a.rows());
     let cols = a.cols();
     a.as_mut_slice()[..rows * cols]
-        .par_chunks_mut(cols.max(1))
-        .for_each(|row| axpy(1.0, bias, row));
+        .par_chunks_mut(ROW_BLOCK * cols.max(1))
+        .for_each(|block| block.chunks_mut(cols.max(1)).for_each(|row| axpy(1.0, bias, row)));
 }
 
 /// Column sums of `a` — the bias gradient in a linear layer.
@@ -218,6 +217,21 @@ mod tests {
         for r in 0..3 {
             assert_eq!(a.row(r), &[1.0, -2.0]);
         }
+    }
+
+    #[test]
+    fn bias_covers_every_row_block_and_zero_width() {
+        // 150 rows: two full row blocks and a tail.
+        let mut a = Matrix::from_fn(150, 3, |i, j| (i * 3 + j) as f32);
+        add_bias(&mut a, &[0.5, 1.0, -1.0]);
+        for i in 0..150 {
+            let want: Vec<f32> =
+                [0.5, 1.0, -1.0].iter().enumerate().map(|(j, b)| (i * 3 + j) as f32 + b).collect();
+            assert_eq!(a.row(i), want.as_slice(), "row {i}");
+        }
+        let mut empty = Matrix::zeros(4, 0);
+        add_bias(&mut empty, &[]);
+        add_bias_prefix(&mut empty, 2, &[]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the tensor substrate.
 
 use distgnn_tensor::{
-    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_into, softmax,
-    Matrix,
+    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_into,
+    matmul_prefix_into, softmax, Matrix,
 };
 use proptest::prelude::*;
 
@@ -27,6 +27,39 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
+/// The `Aᵀ · B` reference: the naive sum over each 1024-row block of
+/// the inputs, the block partials then added to `0.0` in block order.
+fn naive_at_b_blocked(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.cols(), b.cols());
+    for lo in (0..a.rows()).step_by(1024) {
+        let hi = (lo + 1024).min(a.rows());
+        for p in 0..a.cols() {
+            for j in 0..b.cols() {
+                let mut s = 0.0;
+                for i in lo..hi {
+                    s += a[(i, p)] * b[(i, j)];
+                }
+                c[(p, j)] += s;
+            }
+        }
+    }
+    c
+}
+
+/// A test operand entry: inexact fractions, so a reordered sum rounds
+/// differently, with exact zeros of both signs mixed in.
+fn entry(i: usize, j: usize, seed: u64) -> f32 {
+    match (i * 7 + j * 3 + seed as usize) % 13 {
+        0 => 0.0,
+        1 => -0.0,
+        v => (v as f32 - 6.5) * 0.37,
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #[test]
     fn transpose_is_involutive(m in small_matrix(12)) {
@@ -35,33 +68,36 @@ proptest! {
 
     #[test]
     fn matmul_agrees_with_naive(
-        dims in (1usize..10, 1usize..10, 1usize..10),
+        // Crosses the 4-row tile, the 16-column tile, the 64-row task
+        // block and the 256-long reduction block.
+        dims in (1usize..70, 1usize..300, 1usize..40),
         seed in 0u64..1000,
     ) {
         let (m, k, n) = dims;
-        let a = Matrix::from_fn(m, k, |i, j| ((i * 7 + j * 3 + seed as usize) % 11) as f32 - 5.0);
-        let b = Matrix::from_fn(k, n, |i, j| ((i * 5 + j * 2 + seed as usize) % 13) as f32 - 6.0);
-        prop_assert!(matmul(&a, &b).approx_eq(&naive_matmul(&a, &b), 1e-3));
+        let a = Matrix::from_fn(m, k, |i, j| entry(i, j, seed));
+        let b = Matrix::from_fn(k, n, |i, j| entry(j, i, seed + 5));
+        prop_assert_eq!(bits(&matmul(&a, &b)), bits(&naive_matmul(&a, &b)));
     }
 
     #[test]
     fn transposed_forms_agree_with_explicit_transpose(
-        dims in (1usize..8, 1usize..8, 1usize..8),
+        // `m` crosses the 1024-row `Aᵀ · B` block.
+        dims in (1usize..2100, 1usize..300, 1usize..20),
+        seed in 0u64..1000,
     ) {
         let (m, k, n) = dims;
-        let a = Matrix::from_fn(m, k, |i, j| (i as f32) - (j as f32) * 0.5);
-        let b = Matrix::from_fn(m, n, |i, j| (j as f32) * 0.25 - (i as f32));
-        let atb = matmul_at_b(&a, &b);
-        prop_assert!(atb.approx_eq(&naive_matmul(&a.transpose(), &b), 1e-3));
+        let a = Matrix::from_fn(m, k, |i, j| entry(i, j, seed));
+        let b = Matrix::from_fn(m, n, |i, j| entry(i, j, seed + 3));
+        prop_assert_eq!(bits(&matmul_at_b(&a, &b)), bits(&naive_at_b_blocked(&a, &b)));
 
-        let c = Matrix::from_fn(n, k, |i, j| ((i + 2 * j) % 5) as f32);
+        let c = Matrix::from_fn(n, k, |i, j| entry(i, j, seed + 7));
         let abt = matmul_a_bt(&a, &c);
-        prop_assert!(abt.approx_eq(&naive_matmul(&a, &c.transpose()), 1e-3));
+        prop_assert_eq!(bits(&abt), bits(&naive_matmul(&a, &c.transpose())));
     }
 
     #[test]
     fn matmul_into_variants_bit_identical_to_allocating(
-        dims in (1usize..10, 1usize..10, 1usize..10),
+        dims in (1usize..70, 1usize..300, 1usize..40),
         seed in 0u64..1000,
     ) {
         // Each `_into` form must produce exactly the allocating form's
@@ -73,6 +109,12 @@ proptest! {
         let mut c = Matrix::full(m, n, f32::NAN);
         matmul_into(&a, &b, &mut c);
         prop_assert_eq!(&c, &matmul(&a, &b));
+
+        // A prefix row has the bits of the same row of the full product.
+        let rows = 1 + seed as usize % m;
+        let mut pre = Matrix::full(m, n, f32::NAN);
+        matmul_prefix_into(&a, rows, &b, &mut pre);
+        prop_assert_eq!(&pre.as_slice()[..rows * n], &c.as_slice()[..rows * n]);
 
         let bt = Matrix::from_fn(n, k, |i, j| ((i + 2 * j + seed as usize) % 5) as f32);
         let mut abt = Matrix::full(m, n, f32::NAN);
