@@ -281,15 +281,17 @@ impl MiniBatchTrainer {
         let graph = &dataset.graph;
         let mut h = dataset.features.clone();
         let degrees = graph.degrees_f32();
+        let prep = distgnn_kernels::PreparedAggregation::new(
+            graph,
+            distgnn_kernels::AggregationConfig::optimized(1),
+        );
         let num_layers = self.model_layers.len();
         for (l, layer) in self.model_layers.iter().enumerate() {
-            let mut a = distgnn_kernels::aggregate(
-                graph,
+            let mut a = prep.aggregate(
                 &h,
                 None,
                 distgnn_kernels::BinaryOp::CopyLhs,
                 distgnn_kernels::ReduceOp::Sum,
-                &distgnn_kernels::AggregationConfig::optimized(1),
             );
             distgnn_kernels::gcn::gcn_normalize(&mut a, &h, &degrees);
             let z = layer.forward(&a);

@@ -2,10 +2,7 @@
 
 use crate::model::{apply_flat_grads, Aggregator, GraphSage, SageConfig, SageWorkspace};
 use distgnn_graph::{Csr, Dataset};
-use distgnn_kernels::gcn::{
-    gcn_aggregate_backward_prepared, gcn_aggregate_backward_prepared_into,
-    gcn_aggregate_prepared, gcn_aggregate_prepared_into,
-};
+use distgnn_kernels::gcn::{gcn_aggregate_backward_prepared_into, gcn_aggregate_prepared_into};
 use distgnn_kernels::{AggregationConfig, PreparedAggregation};
 use distgnn_nn::{masked_cross_entropy_into, Adam, AdamConfig};
 use distgnn_telemetry::{Phase, Recorder};
@@ -56,20 +53,16 @@ impl Aggregator for SingleSocketAggregator {
         self.prep.num_vertices()
     }
 
-    fn forward(&mut self, _layer: usize, h: &Matrix) -> Matrix {
-        let _span = self.recorder.scope(Phase::Aggregate);
-        let t0 = Instant::now();
-        let agg = gcn_aggregate_prepared(&self.prep, h, &self.degrees);
-        self.agg_time += t0.elapsed();
-        agg
+    fn forward(&mut self, layer: usize, h: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(h.rows(), h.cols());
+        self.forward_into(layer, h, &mut out);
+        out
     }
 
-    fn backward(&mut self, _layer: usize, grad_out: &Matrix) -> Matrix {
-        let _span = self.recorder.scope(Phase::Aggregate);
-        let t0 = Instant::now();
-        let g = gcn_aggregate_backward_prepared(&self.prep_t, grad_out, &self.degrees);
-        self.agg_time += t0.elapsed();
-        g
+    fn backward(&mut self, layer: usize, grad_out: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(grad_out.rows(), grad_out.cols());
+        self.backward_into(layer, grad_out, &mut out);
+        out
     }
 
     fn forward_into(&mut self, _layer: usize, h: &Matrix, out: &mut Matrix) {
@@ -286,13 +279,17 @@ mod tests {
 
     #[test]
     fn baseline_and_optimized_kernels_train_identically_at_start() {
-        // First-epoch loss must agree: the kernels compute the same math.
+        // Every kernel configuration returns the same bits (DESIGN.md
+        // invariant 1), so the whole loss trajectory agrees exactly.
         let ds = tiny_dataset();
-        let c1 = TrainerConfig::for_dataset(&ds, AggregationConfig::baseline(), 1);
-        let c2 = TrainerConfig::for_dataset(&ds, AggregationConfig::optimized(4), 1);
+        let c1 = TrainerConfig::for_dataset(&ds, AggregationConfig::baseline(), 3);
+        let c2 = TrainerConfig::for_dataset(&ds, AggregationConfig::optimized(4), 3);
         let r1 = Trainer::run(&ds, &c1);
         let r2 = Trainer::run(&ds, &c2);
-        assert!((r1.epochs[0].loss - r2.epochs[0].loss).abs() < 1e-3);
+        assert_eq!(r1.epochs.len(), r2.epochs.len());
+        for (e, (a, b)) in r1.epochs.iter().zip(&r2.epochs).enumerate() {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "epoch {e}: {} vs {}", a.loss, b.loss);
+        }
     }
 
     #[test]

@@ -50,9 +50,13 @@ impl Csr {
 
     /// Builds directly from raw parts.
     ///
+    /// Each row's sources must ascend, as every other constructor
+    /// leaves them: the aggregation kernels' bit-identity to the
+    /// reference rests on that order (DESIGN.md invariant 1).
+    ///
     /// # Panics
     /// Panics if the parts are inconsistent (wrong lengths, unsorted
-    /// offsets, or out-of-range sources).
+    /// offsets, out-of-range sources, or a row whose sources descend).
     pub fn from_parts(
         num_vertices: usize,
         indptr: Vec<usize>,
@@ -66,6 +70,10 @@ impl Csr {
         assert!(
             indices.iter().all(|&u| (u as usize) < num_vertices),
             "source out of range"
+        );
+        assert!(
+            indptr.windows(2).all(|w| indices[w[0]..w[1]].windows(2).all(|p| p[0] <= p[1])),
+            "row sources not ascending"
         );
         Csr { num_vertices, indptr, indices, edge_ids }
     }
@@ -245,5 +253,11 @@ mod tests {
     #[should_panic(expected = "indptr not monotone")]
     fn from_parts_validates_offsets() {
         let _ = Csr::from_parts(2, vec![0, 2, 1], vec![0], vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row sources not ascending")]
+    fn from_parts_rejects_descending_row_sources() {
+        let _ = Csr::from_parts(3, vec![0, 0, 0, 2], vec![1, 0], vec![0, 1]);
     }
 }

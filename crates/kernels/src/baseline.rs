@@ -1,55 +1,16 @@
-//! Alg. 1 — the DGL baseline aggregation primitive.
+//! Alg. 1/2 — the destination-major pass of the aggregation primitive.
 //!
-//! The inner loop is monomorphized over `(Combine, Reduce)` via
-//! [`crate::mono::with_ops!`]: the enum pair is resolved once at the
-//! public entry point and the per-edge loop is branch-free.
+//! [`crate::PreparedAggregation`] runs [`rows_pass`] once per source
+//! block: one block is the DGL baseline (Alg. 1), `n_B` blocks the
+//! cache-blocked kernel (Alg. 2). The inner loop is monomorphized over
+//! `(Combine, Reduce)` via [`crate::mono::with_ops!`], resolved once per
+//! call, so the per-edge loop is branch-free.
 
-use crate::mono::{with_ops, Combine, Reduce};
-use crate::reference::{feature_dim, validate_inputs};
+use crate::mono::{Combine, Reduce};
 use crate::schedule::for_each_destination;
-use crate::{BinaryOp, ReduceOp, Schedule};
+use crate::Schedule;
 use distgnn_graph::Csr;
 use distgnn_tensor::Matrix;
-
-/// Parallel Alg. 1: destination vertices distributed across threads,
-/// each pulling its in-neighbours' features and reducing in place. No
-/// blocking, no loop reorder.
-pub fn aggregate_baseline(
-    graph: &Csr,
-    features: &Matrix,
-    edge_features: Option<&Matrix>,
-    op: BinaryOp,
-    reduce: ReduceOp,
-    schedule: Schedule,
-) -> Matrix {
-    validate_inputs(graph, features, edge_features, op);
-    let d = feature_dim(features, edge_features, op);
-    let n = graph.num_vertices();
-    let mut out = Matrix::full(n, d, reduce.identity());
-    aggregate_rows_into(graph, features, edge_features, op, reduce, schedule, 64, &mut out);
-    out
-}
-
-/// Enum front-end for the shared per-destination pass, reused by the
-/// blocked kernel (which calls it once per block CSR). Dispatches to
-/// the monomorphized kernel exactly once.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn aggregate_rows_into(
-    graph: &Csr,
-    features: &Matrix,
-    edge_features: Option<&Matrix>,
-    op: BinaryOp,
-    reduce: ReduceOp,
-    schedule: Schedule,
-    chunk_rows: usize,
-    out: &mut Matrix,
-) {
-    with_ops!(
-        op,
-        reduce,
-        rows_pass(graph, features, edge_features, schedule, chunk_rows, out)
-    );
-}
 
 /// The monomorphized destination-major pass: for each destination row,
 /// reduce every in-neighbour's (combined) feature vector in place.
@@ -98,9 +59,10 @@ pub(crate) fn rows_pass<C: Combine, R: Reduce>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::reference::aggregate_reference;
+    use crate::reference::{aggregate_reference, assert_bits_eq};
+    use crate::{AggregationConfig, BinaryOp, PreparedAggregation, ReduceOp, Schedule};
     use distgnn_graph::generators::rmat;
+    use distgnn_graph::{Csr, EdgeList};
     use distgnn_tensor::init::random_features;
 
     #[test]
@@ -111,15 +73,13 @@ mod tests {
         let mut fe = random_features(g.num_edges(), 7, 2);
         // Keep Div well-conditioned.
         fe.as_mut_slice().iter_mut().for_each(|x| *x = x.abs() + 0.5);
-        for op in BinaryOp::ALL {
-            for red in ReduceOp::ALL {
-                for sched in [Schedule::Static, Schedule::Dynamic] {
-                    let got = aggregate_baseline(&g, &f, Some(&fe), op, red, sched);
+        for sched in [Schedule::Static, Schedule::Dynamic] {
+            let prep = PreparedAggregation::new(&g, AggregationConfig::baseline().with_schedule(sched));
+            for op in BinaryOp::ALL {
+                for red in ReduceOp::ALL {
+                    let got = prep.aggregate(&f, Some(&fe), op, red);
                     let want = aggregate_reference(&g, &f, Some(&fe), op, red);
-                    assert!(
-                        got.approx_eq(&want, 1e-4),
-                        "mismatch for {op:?}/{red:?}/{sched:?}"
-                    );
+                    assert_bits_eq(&got, &want, &format!("{op:?}/{red:?}/{sched:?}"));
                 }
             }
         }
@@ -130,16 +90,19 @@ mod tests {
         let edges = rmat(30, 100, (0.45, 0.25, 0.2), 9);
         let g = Csr::from_edges(&edges);
         let f = random_features(30, 5, 3);
-        let got = aggregate_baseline(&g, &f, None, BinaryOp::CopyLhs, ReduceOp::Sum, Schedule::Dynamic);
+        let prep = PreparedAggregation::new(&g, AggregationConfig::baseline().with_blocks(3));
+        let got = prep.aggregate(&f, None, BinaryOp::CopyLhs, ReduceOp::Sum);
         let want = aggregate_reference(&g, &f, None, BinaryOp::CopyLhs, ReduceOp::Sum);
-        assert!(got.approx_eq(&want, 1e-4));
+        assert_bits_eq(&got, &want, "copy_lhs/sum");
     }
 
     #[test]
     fn empty_graph_returns_identity_matrix() {
-        let g = Csr::from_edges(&distgnn_graph::EdgeList::new(5));
+        let g = Csr::from_edges(&EdgeList::new(5));
         let f = random_features(5, 3, 1);
-        let out = aggregate_baseline(&g, &f, None, BinaryOp::CopyLhs, ReduceOp::Max, Schedule::Static);
-        assert!(out.as_slice().iter().all(|&x| x == f32::NEG_INFINITY));
+        for cfg in [AggregationConfig::baseline(), AggregationConfig::optimized(2)] {
+            let out = PreparedAggregation::new(&g, cfg).aggregate(&f, None, BinaryOp::CopyLhs, ReduceOp::Max);
+            assert!(out.as_slice().iter().all(|&x| x == f32::NEG_INFINITY), "{cfg:?}");
+        }
     }
 }

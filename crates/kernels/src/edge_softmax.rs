@@ -112,7 +112,7 @@ mod tests {
     fn attention_pipeline_composes() {
         // SDDMM logits -> edge_softmax -> weighted AP: the GAT-shaped
         // forward pass, end to end through the kernel layer.
-        use crate::{aggregate, sddmm, AggregationConfig, BinaryOp, ReduceOp, SddmmOp};
+        use crate::{sddmm, AggregationConfig, BinaryOp, PreparedAggregation, ReduceOp, SddmmOp};
         let g = Csr::from_edges(&rmat(30, 150, (0.5, 0.2, 0.2), 25));
         let h = random_features(30, 6, 26);
         let logits = sddmm(&g, &h, &h, SddmmOp::Dot);
@@ -123,13 +123,11 @@ mod tests {
             let a = att[(e, 0)];
             att_wide.row_mut(e).iter_mut().for_each(|x| *x = a);
         }
-        let out = aggregate(
-            &g,
+        let out = PreparedAggregation::new(&g, AggregationConfig::optimized(2)).aggregate(
             &h,
             Some(&att_wide),
             BinaryOp::Mul,
             ReduceOp::Sum,
-            &AggregationConfig::optimized(2),
         );
         // Attention-weighted means stay within the neighbourhood hull:
         // bounded by per-column min/max of h.

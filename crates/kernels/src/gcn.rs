@@ -8,8 +8,7 @@
 //! With the self-contribution included, the normalizer is
 //! `in_degree + 1`, which also keeps isolated vertices well-defined.
 
-use crate::{aggregate, AggregationConfig, BinaryOp, ReduceOp};
-use distgnn_graph::Csr;
+use crate::{BinaryOp, ReduceOp};
 use distgnn_tensor::Matrix;
 use rayon::prelude::*;
 
@@ -30,29 +29,9 @@ pub fn gcn_normalize(agg: &mut Matrix, features: &Matrix, degrees: &[f32]) {
         });
 }
 
-/// Full GCN aggregation step: sum-aggregate in-neighbours with the
-/// configured kernel, then apply the epilogue.
-pub fn gcn_aggregate(graph: &Csr, features: &Matrix, config: &AggregationConfig) -> Matrix {
-    let mut agg = aggregate(graph, features, None, BinaryOp::CopyLhs, ReduceOp::Sum, config);
-    let degrees = graph.degrees_f32();
-    gcn_normalize(&mut agg, features, &degrees);
-    agg
-}
-
-/// [`gcn_aggregate`] against a prepared (pre-blocked) graph — the form
-/// the trainers use, since they aggregate hundreds of times per run.
-pub fn gcn_aggregate_prepared(
-    prep: &crate::PreparedAggregation,
-    features: &Matrix,
-    degrees: &[f32],
-) -> Matrix {
-    let mut agg = prep.aggregate(features, None, BinaryOp::CopyLhs, ReduceOp::Sum);
-    gcn_normalize(&mut agg, features, degrees);
-    agg
-}
-
-/// [`gcn_aggregate_prepared`] into a caller-owned output buffer
-/// (contents overwritten); allocation-free.
+/// Full GCN aggregation step into a caller-owned output buffer
+/// (contents overwritten): sum-aggregate in-neighbours with the
+/// prepared kernel, then apply the epilogue. Allocation-free.
 pub fn gcn_aggregate_prepared_into(
     prep: &crate::PreparedAggregation,
     features: &Matrix,
@@ -63,8 +42,8 @@ pub fn gcn_aggregate_prepared_into(
     gcn_normalize(out, features, degrees);
 }
 
-/// Scales each row by `1 / (deg + 1)` — the shared prologue of both
-/// backward forms.
+/// Scales each row by `1 / (deg + 1)` — the prologue of the backward
+/// pass.
 fn scale_rows_by_inv_degree(m: &mut Matrix, degrees: &[f32]) {
     let d = m.cols();
     m.as_mut_slice()
@@ -76,19 +55,12 @@ fn scale_rows_by_inv_degree(m: &mut Matrix, degrees: &[f32]) {
         });
 }
 
-/// [`gcn_aggregate_backward`] against a prepared *transposed* graph.
-pub fn gcn_aggregate_backward_prepared(
-    prep_t: &crate::PreparedAggregation,
-    grad_out: &Matrix,
-    degrees: &[f32],
-) -> Matrix {
-    let mut scaled = Matrix::zeros(grad_out.rows(), grad_out.cols());
-    let mut grad_in = Matrix::zeros(grad_out.rows(), grad_out.cols());
-    gcn_aggregate_backward_prepared_into(prep_t, grad_out, degrees, &mut scaled, &mut grad_in);
-    grad_in
-}
-
-/// [`gcn_aggregate_backward_prepared`] into caller-owned buffers:
+/// Backward of [`gcn_aggregate_prepared_into`] with respect to the
+/// input features, against a prepared *transposed* graph.
+///
+/// Forward is `out = D^{-1} (A + I) f` with `D = diag(deg + 1)`, so the
+/// gradient is `df = (A + I)^T D^{-1} g = A^T (g / (deg+1)) + g / (deg+1)`;
+/// the `A^T` product is an aggregation over the transposed graph.
 /// `scaled` is scratch for the degree-normalized gradient and `grad_in`
 /// receives the result; both must match `grad_out`'s shape.
 /// Allocation-free.
@@ -106,39 +78,12 @@ pub fn gcn_aggregate_backward_prepared_into(
     distgnn_tensor::ops::add_assign(grad_in, scaled);
 }
 
-/// Backward of [`gcn_aggregate`] with respect to the input features.
-///
-/// Forward is `out = D^{-1} (A + I) f` with `D = diag(deg + 1)`, so the
-/// gradient is `df = (A + I)^T D^{-1} g = A^T (g / (deg+1)) + g / (deg+1)`;
-/// the `A^T` product is an aggregation over the *transposed* graph.
-pub fn gcn_aggregate_backward(
-    graph_t: &Csr,
-    grad_out: &Matrix,
-    degrees: &[f32],
-    config: &AggregationConfig,
-) -> Matrix {
-    assert_eq!(degrees.len(), grad_out.rows());
-    // Scale incoming gradient by each destination's normalizer.
-    let mut scaled = grad_out.clone();
-    scale_rows_by_inv_degree(&mut scaled, degrees);
-    // A^T term: push scaled gradients back along reversed edges.
-    let mut grad_in = aggregate(
-        graph_t,
-        &scaled,
-        None,
-        BinaryOp::CopyLhs,
-        ReduceOp::Sum,
-        config,
-    );
-    // + identity (self) term.
-    distgnn_tensor::ops::add_assign(&mut grad_in, &scaled);
-    grad_in
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distgnn_graph::EdgeList;
+    use crate::reference::assert_bits_eq;
+    use crate::{AggregationConfig, PreparedAggregation};
+    use distgnn_graph::{Csr, EdgeList};
     use distgnn_tensor::init::random_features;
 
     fn tri() -> Csr {
@@ -146,11 +91,18 @@ mod tests {
         Csr::from_edges(&EdgeList::from_pairs(3, &[(0, 2), (1, 2), (2, 0)]))
     }
 
+    /// GCN forward of `f` over `g` with the kernel `cfg`.
+    fn gcn(g: &Csr, f: &Matrix, cfg: AggregationConfig) -> Matrix {
+        let mut out = Matrix::zeros(f.rows(), f.cols());
+        gcn_aggregate_prepared_into(&PreparedAggregation::new(g, cfg), f, &g.degrees_f32(), &mut out);
+        out
+    }
+
     #[test]
     fn epilogue_matches_hand_computation() {
         let g = tri();
         let f = Matrix::from_vec(3, 1, vec![1.0, 2.0, 4.0]);
-        let out = gcn_aggregate(&g, &f, &AggregationConfig::baseline());
+        let out = gcn(&g, &f, AggregationConfig::baseline());
         // v0: agg 4 (from v2), deg 1 -> (4 + 1) / 2 = 2.5
         assert!((out[(0, 0)] - 2.5).abs() < 1e-6);
         // v1: agg 0, deg 0 -> (0 + 2) / 1 = 2
@@ -163,29 +115,31 @@ mod tests {
     fn optimized_kernel_gives_same_epilogue_result() {
         let g = Csr::from_edges(&distgnn_graph::generators::rmat(64, 300, (0.5, 0.2, 0.2), 3));
         let f = random_features(64, 18, 4);
-        let base = gcn_aggregate(&g, &f, &AggregationConfig::baseline());
-        let opt = gcn_aggregate(&g, &f, &AggregationConfig::optimized(4));
-        assert!(base.approx_eq(&opt, 1e-3));
+        let base = gcn(&g, &f, AggregationConfig::baseline());
+        let opt = gcn(&g, &f, AggregationConfig::optimized(4));
+        assert_bits_eq(&opt, &base, "optimized(4) vs baseline");
     }
 
     #[test]
     fn backward_matches_finite_difference() {
         let g = Csr::from_edges(&distgnn_graph::generators::rmat(12, 40, (0.5, 0.2, 0.2), 5));
-        let g_t = g.transpose();
+        let prep_t = PreparedAggregation::new(&g.transpose(), AggregationConfig::baseline());
         let f = random_features(12, 3, 6);
         let cfg = AggregationConfig::baseline();
         let degrees = g.degrees_f32();
         // Loss = sum(out); grad_out = ones. Finite differences on f.
         let grad_out = Matrix::full(12, 3, 1.0);
-        let grad = gcn_aggregate_backward(&g_t, &grad_out, &degrees, &cfg);
+        let mut scaled = Matrix::zeros(12, 3);
+        let mut grad = Matrix::zeros(12, 3);
+        gcn_aggregate_backward_prepared_into(&prep_t, &grad_out, &degrees, &mut scaled, &mut grad);
         let eps = 1e-2f32;
         for probe in [(0usize, 0usize), (5, 1), (11, 2)] {
             let mut fp = f.clone();
             fp[(probe.0, probe.1)] += eps;
             let mut fm = f.clone();
             fm[(probe.0, probe.1)] -= eps;
-            let lp: f32 = gcn_aggregate(&g, &fp, &cfg).as_slice().iter().sum();
-            let lm: f32 = gcn_aggregate(&g, &fm, &cfg).as_slice().iter().sum();
+            let lp: f32 = gcn(&g, &fp, cfg).as_slice().iter().sum();
+            let lm: f32 = gcn(&g, &fm, cfg).as_slice().iter().sum();
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
                 (grad[probe] - fd).abs() < 1e-2,

@@ -1,13 +1,13 @@
-//! The DistGNN aggregation primitive (AP) and its optimized variants.
+//! The DistGNN aggregation primitive (AP) and its optimizations.
 //!
 //! The AP is the tuple `(f_V, f_E, ⊗, ⊕, f_O)` of §2.1: for every edge
 //! `u -> v`, combine the source's feature vector (and optionally the
 //! edge's) with `⊗` and reduce into the destination row of `f_O` with
 //! `⊕`. The paper's §4 accelerates this SpMM-like kernel with three
-//! transformations, each implemented here as a separate, testable
-//! variant:
+//! transformations of one loop nest, each a field of
+//! [`AggregationConfig`]:
 //!
-//! 1. **Cache blocking** (Alg. 2, [`blocked`]): split sources into
+//! 1. **Cache blocking** (Alg. 2, [`prepared`]): split sources into
 //!    `n_B` blocks so each pass's slice of `f_V` fits in cache.
 //! 2. **Dynamic scheduling** ([`schedule`]): fine-grained work-stealing
 //!    chunks of destination vertices instead of one static range per
@@ -18,12 +18,17 @@
 //!    paper JITs this with LIBXSMM; here the strip loop is written so
 //!    rustc/LLVM auto-vectorizes it.
 //!
-//! All variants compute results interchangeable with the naive
-//! reference (exact for max/min, within fp-reassociation tolerance for
-//! sum), which the test suite enforces across every `⊗ x ⊕` pair.
+//! Every configuration of those three transformations sums each output
+//! element's terms in the same order as the naive reference, so all of
+//! them are bit-identical to [`reference::aggregate_reference`] for
+//! every `⊗ x ⊕` pair: rows of a [`distgnn_graph::Csr`] are sorted by
+//! source, source blocks keep that order, and each strip lane is an
+//! independent sum (DESIGN.md invariant 1).
+//!
+//! [`PreparedAggregation`] is the one entry point: it splits the graph
+//! once and runs the configured loop order over the blocks.
 
 pub mod baseline;
-pub mod blocked;
 pub mod config;
 pub mod cost;
 pub mod edge_softmax;
@@ -37,39 +42,9 @@ pub mod sddmm;
 pub mod reordered;
 pub mod schedule;
 
-pub use baseline::aggregate_baseline;
-pub use blocked::aggregate_blocked;
 pub use config::{AggregationConfig, LoopOrder, Schedule};
 pub use ops::{BinaryOp, ReduceOp};
 pub use prepared::PreparedAggregation;
 pub use edge_softmax::edge_softmax;
 pub use sddmm::{sddmm, SddmmOp};
-pub use reordered::aggregate_reordered;
 
-use distgnn_graph::Csr;
-use distgnn_tensor::Matrix;
-
-/// Dispatches to the kernel variant selected by `config`.
-///
-/// `edge_features` must be `Some` when `op` reads the right-hand
-/// operand (`CopyRhs` or any true binary op).
-pub fn aggregate(
-    graph: &Csr,
-    features: &Matrix,
-    edge_features: Option<&Matrix>,
-    op: BinaryOp,
-    reduce: ReduceOp,
-    config: &AggregationConfig,
-) -> Matrix {
-    match (config.n_blocks, config.loop_order) {
-        (1, LoopOrder::DestinationMajor) => {
-            baseline::aggregate_baseline(graph, features, edge_features, op, reduce, config.schedule)
-        }
-        (_, LoopOrder::DestinationMajor) => {
-            blocked::aggregate_blocked(graph, features, edge_features, op, reduce, config)
-        }
-        (_, LoopOrder::FeatureStrips) => {
-            reordered::aggregate_reordered(graph, features, edge_features, op, reduce, config)
-        }
-    }
-}

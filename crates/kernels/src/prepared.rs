@@ -3,13 +3,14 @@
 //! Training calls the aggregation primitive hundreds of times on the
 //! same graph (once per layer per direction per epoch). The paper
 //! builds the per-block CSR matrices once (Alg. 2, line 2) and
-//! amortizes the cost; [`PreparedAggregation`] is that object. The
-//! convenience [`crate::aggregate`] entry point re-splits per call and
-//! is only appropriate for one-shot use.
+//! amortizes the cost; [`PreparedAggregation`] is that object, and the
+//! only way to run the AP. Every configuration it accepts returns the
+//! bits of [`crate::reference::aggregate_reference`] (DESIGN.md
+//! invariant 1).
 
 use crate::baseline::rows_pass;
 use crate::mono::{with_ops, Combine, Reduce};
-use crate::reference::feature_dim;
+use crate::reference::{feature_dim, validate_inputs};
 use crate::reordered::strips_pass;
 use crate::{AggregationConfig, BinaryOp, LoopOrder, ReduceOp};
 use distgnn_graph::blocks::SourceBlocks;
@@ -36,16 +37,8 @@ impl PreparedAggregation {
         }
     }
 
-    pub fn config(&self) -> &AggregationConfig {
-        &self.config
-    }
-
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
-    }
-
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
     }
 
     /// Runs the configured kernel against the prepared blocks.
@@ -76,8 +69,7 @@ impl PreparedAggregation {
         reduce: ReduceOp,
         out: &mut Matrix,
     ) {
-        // Validate against the first block (same vertex space).
-        validate_shapes(self, features, edge_features, op);
+        validate_inputs(self.num_vertices, self.num_edges, features, edge_features, op);
         let d = feature_dim(features, edge_features, op);
         assert_eq!(
             (out.rows(), out.cols()),
@@ -119,26 +111,14 @@ fn run_blocks<C: Combine, R: Reduce>(
     }
 }
 
-fn validate_shapes(
-    prep: &PreparedAggregation,
-    features: &Matrix,
-    edge_features: Option<&Matrix>,
-    op: BinaryOp,
-) {
-    assert_eq!(features.rows(), prep.num_vertices, "feature rows must match vertex count");
-    if op.uses_rhs() {
-        let fe = edge_features.expect("operator reads edge features but none were provided");
-        assert_eq!(fe.rows(), prep.num_edges, "edge-feature rows must match edge count");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::aggregate_reference;
+    use crate::reference::{aggregate_reference, assert_bits_eq};
     use distgnn_graph::generators::rmat;
     use distgnn_tensor::init::random_features;
 
+    /// The paper's named configurations, plus more blocks than vertices.
     #[test]
     fn prepared_matches_one_shot_for_all_configs() {
         let g = Csr::from_edges(&rmat(60, 350, (0.5, 0.2, 0.2), 21));
@@ -149,10 +129,11 @@ mod tests {
             AggregationConfig::baseline().with_blocks(4),
             AggregationConfig::optimized(1),
             AggregationConfig::optimized(6),
+            AggregationConfig::optimized(61),
         ] {
             let prep = PreparedAggregation::new(&g, cfg);
             let got = prep.aggregate(&f, None, BinaryOp::CopyLhs, ReduceOp::Sum);
-            assert!(got.approx_eq(&want, 1e-3), "{cfg:?}");
+            assert_bits_eq(&got, &want, &format!("{cfg:?}"));
         }
     }
 
@@ -164,7 +145,7 @@ mod tests {
             let f = random_features(40, 8, seed);
             let want = aggregate_reference(&g, &f, None, BinaryOp::CopyLhs, ReduceOp::Max);
             let got = prep.aggregate(&f, None, BinaryOp::CopyLhs, ReduceOp::Max);
-            assert_eq!(got, want, "seed {seed}");
+            assert_bits_eq(&got, &want, &format!("seed {seed}"));
         }
     }
 
@@ -175,5 +156,27 @@ mod tests {
         let prep = PreparedAggregation::new(&g, AggregationConfig::baseline());
         let f = random_features(11, 4, 1);
         let _ = prep.aggregate(&f, None, BinaryOp::CopyLhs, ReduceOp::Sum);
+    }
+
+    /// A binary `⊗` with 8-wide vertex and 5-wide edge features.
+    fn add_with_narrow_edge_features(loop_order: LoopOrder) {
+        let g = Csr::from_edges(&rmat(10, 30, (0.5, 0.2, 0.2), 25));
+        let cfg = AggregationConfig { loop_order, ..AggregationConfig::baseline() };
+        let prep = PreparedAggregation::new(&g, cfg);
+        let f = random_features(10, 8, 2);
+        let fe = random_features(g.num_edges(), 5, 3);
+        let _ = prep.aggregate(&f, Some(&fe), BinaryOp::Add, ReduceOp::Sum);
+    }
+
+    #[test]
+    #[should_panic(expected = "dims must match")]
+    fn destination_major_rejects_edge_feature_width_mismatch() {
+        add_with_narrow_edge_features(LoopOrder::DestinationMajor);
+    }
+
+    #[test]
+    #[should_panic(expected = "dims must match")]
+    fn feature_strips_rejects_edge_feature_width_mismatch() {
+        add_with_narrow_edge_features(LoopOrder::FeatureStrips);
     }
 }

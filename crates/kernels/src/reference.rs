@@ -1,5 +1,6 @@
 //! Naive, sequential reference implementation of the aggregation
-//! primitive — the oracle every optimized variant is tested against.
+//! primitive — the oracle [`crate::PreparedAggregation`] is tested
+//! against, bit for bit.
 
 use crate::{BinaryOp, ReduceOp};
 use distgnn_graph::Csr;
@@ -17,7 +18,7 @@ pub fn aggregate_reference(
     op: BinaryOp,
     reduce: ReduceOp,
 ) -> Matrix {
-    validate_inputs(graph, features, edge_features, op);
+    validate_inputs(graph.num_vertices(), graph.num_edges(), features, edge_features, op);
     let d = feature_dim(features, edge_features, op);
     let n = graph.num_vertices();
     let mut out = Matrix::full(n, d, reduce.identity());
@@ -40,23 +41,25 @@ pub fn aggregate_reference(
     out
 }
 
-/// Shared input validation for all kernel variants.
+/// Operand checks shared by the reference and the prepared kernel, for
+/// a graph of `num_vertices` vertices and `num_edges` edges.
 pub fn validate_inputs(
-    graph: &Csr,
+    num_vertices: usize,
+    num_edges: usize,
     features: &Matrix,
     edge_features: Option<&Matrix>,
     op: BinaryOp,
 ) {
     assert_eq!(
         features.rows(),
-        graph.num_vertices(),
+        num_vertices,
         "feature rows must match vertex count"
     );
     if op.uses_rhs() {
         let fe = edge_features.expect("operator reads edge features but none were provided");
         assert_eq!(
             fe.rows(),
-            graph.num_edges(),
+            num_edges,
             "edge-feature rows must match edge count"
         );
         if op != BinaryOp::CopyRhs {
@@ -75,6 +78,16 @@ pub fn feature_dim(features: &Matrix, edge_features: Option<&Matrix>, op: Binary
         edge_features.map(|fe| fe.cols()).unwrap_or(0)
     } else {
         features.cols()
+    }
+}
+
+/// Asserts `got` and `want` hold the same bits: `0.0` and `-0.0`
+/// differ here, where `==` on `f32` would call them equal.
+#[cfg(test)]
+pub(crate) fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    for (idx, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {idx}: {g} vs {w}");
     }
 }
 

@@ -1,61 +1,22 @@
-//! Alg. 3 — loop-reordered (LIBXSMM-style) aggregation.
+//! Alg. 3 — the loop-reordered (LIBXSMM-style) pass of the aggregation
+//! primitive.
 //!
 //! For each destination row, the feature dimension is walked in fixed
 //! SIMD-width strips; within one strip the neighbour loop accumulates
 //! into a stack array, so `f_O[v]` is loaded and stored once per strip
 //! per block instead of once per edge. The strip loop is shaped so
 //! LLVM auto-vectorizes it — the Rust stand-in for LIBXSMM's JITed
-//! SIMD kernels.
+//! SIMD kernels. [`crate::PreparedAggregation`] runs [`strips_pass`]
+//! once per source block.
 
-use crate::mono::{with_ops, Combine, Reduce};
-use crate::reference::{feature_dim, validate_inputs};
+use crate::mono::{Combine, Reduce};
 use crate::schedule::for_each_destination;
-use crate::{AggregationConfig, BinaryOp, ReduceOp};
-use distgnn_graph::blocks::SourceBlocks;
+use crate::AggregationConfig;
 use distgnn_graph::Csr;
 use distgnn_tensor::Matrix;
 
 /// Strip width in f32 lanes (one AVX-512 register).
 pub const SIMD_WIDTH: usize = 16;
-
-/// Cache-blocked + loop-reordered aggregation (the fully optimized
-/// kernel of §4.2).
-pub fn aggregate_reordered(
-    graph: &Csr,
-    features: &Matrix,
-    edge_features: Option<&Matrix>,
-    op: BinaryOp,
-    reduce: ReduceOp,
-    config: &AggregationConfig,
-) -> Matrix {
-    validate_inputs(graph, features, edge_features, op);
-    let d = feature_dim(features, edge_features, op);
-    let n = graph.num_vertices();
-    let mut out = Matrix::full(n, d, reduce.identity());
-    let blocks = SourceBlocks::split(graph, config.n_blocks);
-    for block in &blocks.blocks {
-        reordered_pass(block, features, edge_features, op, reduce, config, &mut out);
-    }
-    out
-}
-
-/// Enum front-end: resolves the operator pair once, then runs the
-/// monomorphized strip pass.
-pub(crate) fn reordered_pass(
-    block: &Csr,
-    features: &Matrix,
-    edge_features: Option<&Matrix>,
-    op: BinaryOp,
-    reduce: ReduceOp,
-    config: &AggregationConfig,
-    out: &mut Matrix,
-) {
-    with_ops!(
-        op,
-        reduce,
-        strips_pass(block, features, edge_features, config, out)
-    );
-}
 
 /// The monomorphized strip pass. `C`/`R` are zero-sized; the lane loop
 /// below is branch-free and auto-vectorizes.
@@ -166,10 +127,10 @@ fn accumulate_strip_partial<C: Combine, R: Reduce>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::reference::aggregate_reference;
-    use crate::Schedule;
+    use crate::reference::{aggregate_reference, assert_bits_eq};
+    use crate::{AggregationConfig, BinaryOp, PreparedAggregation, ReduceOp, Schedule};
     use distgnn_graph::generators::rmat;
+    use distgnn_graph::Csr;
     use distgnn_tensor::init::random_features;
 
     #[test]
@@ -180,9 +141,9 @@ mod tests {
             let f = random_features(70, d, d as u64);
             let want = aggregate_reference(&g, &f, None, BinaryOp::CopyLhs, ReduceOp::Sum);
             for n_b in [1, 4] {
-                let cfg = AggregationConfig::optimized(n_b);
-                let got = aggregate_reordered(&g, &f, None, BinaryOp::CopyLhs, ReduceOp::Sum, &cfg);
-                assert!(got.approx_eq(&want, 1e-3), "d = {d}, n_B = {n_b}");
+                let prep = PreparedAggregation::new(&g, AggregationConfig::optimized(n_b));
+                let got = prep.aggregate(&f, None, BinaryOp::CopyLhs, ReduceOp::Sum);
+                assert_bits_eq(&got, &want, &format!("d = {d}, n_B = {n_b}"));
             }
         }
     }
@@ -193,12 +154,13 @@ mod tests {
         let f = random_features(40, 20, 21);
         let mut fe = random_features(g.num_edges(), 20, 22);
         fe.as_mut_slice().iter_mut().for_each(|x| *x = x.abs() + 0.5);
+        let cfg = AggregationConfig::optimized(3).with_schedule(Schedule::Static);
+        let prep = PreparedAggregation::new(&g, cfg);
         for op in BinaryOp::ALL {
             for red in ReduceOp::ALL {
                 let want = aggregate_reference(&g, &f, Some(&fe), op, red);
-                let cfg = AggregationConfig::optimized(3).with_schedule(Schedule::Static);
-                let got = aggregate_reordered(&g, &f, Some(&fe), op, red, &cfg);
-                assert!(got.approx_eq(&want, 1e-3), "{op:?}/{red:?}");
+                let got = prep.aggregate(&f, Some(&fe), op, red);
+                assert_bits_eq(&got, &want, &format!("{op:?}/{red:?}"));
             }
         }
     }
@@ -208,8 +170,8 @@ mod tests {
         let g = Csr::from_edges(&rmat(50, 300, (0.5, 0.2, 0.2), 14));
         let f = random_features(50, 33, 15);
         let want = aggregate_reference(&g, &f, None, BinaryOp::CopyLhs, ReduceOp::Max);
-        let got =
-            aggregate_reordered(&g, &f, None, BinaryOp::CopyLhs, ReduceOp::Max, &AggregationConfig::optimized(8));
-        assert_eq!(got, want);
+        let prep = PreparedAggregation::new(&g, AggregationConfig::optimized(8));
+        let got = prep.aggregate(&f, None, BinaryOp::CopyLhs, ReduceOp::Max);
+        assert_bits_eq(&got, &want, "copy_lhs/max");
     }
 }

@@ -134,17 +134,15 @@ mod tests {
     fn sddmm_output_feeds_the_ap_as_edge_features() {
         // The composition DGL uses for attention-style models:
         // edge scores from SDDMM become f_E operands of the AP.
-        use crate::{aggregate, AggregationConfig, ReduceOp};
+        use crate::{AggregationConfig, PreparedAggregation, ReduceOp};
         let g = Csr::from_edges(&rmat(25, 120, (0.5, 0.2, 0.2), 20));
         let f = random_features(25, 4, 21);
         let scores = sddmm(&g, &f, &f, SddmmOp::Elementwise(BinaryOp::Mul));
-        let out = aggregate(
-            &g,
+        let out = PreparedAggregation::new(&g, AggregationConfig::optimized(2)).aggregate(
             &f,
             Some(&scores),
             BinaryOp::Mul,
             ReduceOp::Sum,
-            &AggregationConfig::optimized(2),
         );
         assert_eq!(out.shape(), (25, 4));
         assert!(out.as_slice().iter().all(|x| x.is_finite()));

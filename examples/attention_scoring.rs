@@ -15,7 +15,7 @@ use distgnn_suite::core::single::{Trainer, TrainerConfig};
 use distgnn_suite::graph::generators::community_of;
 use distgnn_suite::graph::{Dataset, ScaledConfig};
 use distgnn_suite::kernels::{
-    aggregate, edge_softmax, sddmm, AggregationConfig, BinaryOp, ReduceOp, SddmmOp,
+    edge_softmax, sddmm, AggregationConfig, BinaryOp, PreparedAggregation, ReduceOp, SddmmOp,
 };
 use distgnn_suite::tensor::{ops, Matrix};
 
@@ -75,13 +75,11 @@ fn main() {
         let a = att[(e, 0)];
         att_wide.row_mut(e).iter_mut().for_each(|x| *x = a);
     }
-    let summary = aggregate(
-        &dataset.graph,
+    let summary = PreparedAggregation::new(&dataset.graph, AggregationConfig::optimized(2)).aggregate(
         &hidden,
         Some(&att_wide),
         BinaryOp::Mul,
         ReduceOp::Sum,
-        &AggregationConfig::optimized(2),
     );
     println!(
         "attention-weighted summaries: {} x {} (finite: {})",

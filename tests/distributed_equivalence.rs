@@ -7,9 +7,9 @@ use distgnn_suite::comm::Cluster;
 use distgnn_suite::core::drpa::RankAggregator;
 use distgnn_suite::core::model::Aggregator;
 use distgnn_suite::core::DistMode;
-use distgnn_suite::graph::{Dataset, ScaledConfig};
-use distgnn_suite::kernels::gcn::gcn_aggregate;
-use distgnn_suite::kernels::AggregationConfig;
+use distgnn_suite::graph::{Csr, Dataset, ScaledConfig};
+use distgnn_suite::kernels::gcn::gcn_normalize;
+use distgnn_suite::kernels::{AggregationConfig, BinaryOp, PreparedAggregation, ReduceOp};
 use distgnn_suite::partition::{libra_partition, PartitionedGraph};
 use distgnn_suite::tensor::Matrix;
 
@@ -47,13 +47,30 @@ fn run_forward(s: &Setup, mode: DistMode, epochs: u64) -> Vec<Matrix> {
     })
 }
 
+/// Sum of each vertex's in-neighbour rows of `h`, by the baseline kernel.
+fn sum_aggregate(graph: &Csr, h: &Matrix) -> Matrix {
+    PreparedAggregation::new(graph, AggregationConfig::baseline()).aggregate(
+        h,
+        None,
+        BinaryOp::CopyLhs,
+        ReduceOp::Sum,
+    )
+}
+
+/// Single-socket GCN aggregate: neighbour sum plus self, over `deg + 1`.
+fn gcn_aggregate(graph: &Csr, h: &Matrix) -> Matrix {
+    let mut out = sum_aggregate(graph, h);
+    gcn_normalize(&mut out, h, &graph.degrees_f32());
+    out
+}
+
 /// Invariant 2: with full clone synchronization (cd-0), every local
 /// vertex's aggregate equals the single-socket GCN aggregate of its
 /// global vertex.
 #[test]
 fn cd0_matches_single_socket_per_vertex() {
     let s = setup(4);
-    let single = gcn_aggregate(&s.dataset.graph, &s.dataset.features, &AggregationConfig::baseline());
+    let single = gcn_aggregate(&s.dataset.graph, &s.dataset.features);
     let outs = run_forward(&s, DistMode::Cd0, 1);
     for (p, out) in outs.iter().enumerate() {
         for (local, &g) in s.pg.parts[p].global_ids.iter().enumerate() {
@@ -81,7 +98,7 @@ fn oc_is_local_only() {
         let local_deg = part.local_degrees();
         let idx: Vec<usize> = part.global_ids.iter().map(|&g| g as usize).collect();
         let local_features = s.dataset.features.gather_rows(&idx);
-        let expect = gcn_aggregate(&part.graph, &local_features, &AggregationConfig::baseline());
+        let expect = gcn_aggregate(&part.graph, &local_features);
         assert!(
             out.approx_eq(&expect, 1e-3),
             "rank {p} 0c output is not pure local aggregation"
@@ -122,15 +139,8 @@ fn cdr_starts_as_local_partials_with_global_normalization() {
         let idx: Vec<usize> = part.global_ids.iter().map(|&g| g as usize).collect();
         let h = s.dataset.features.gather_rows(&idx);
         // Local sum-aggregate + self, normalized by global degree + 1.
-        let mut expect = distgnn_suite::kernels::aggregate(
-            &part.graph,
-            &h,
-            None,
-            distgnn_suite::kernels::BinaryOp::CopyLhs,
-            distgnn_suite::kernels::ReduceOp::Sum,
-            &AggregationConfig::baseline(),
-        );
-        distgnn_suite::kernels::gcn::gcn_normalize(&mut expect, &h, &part.global_degrees);
+        let mut expect = sum_aggregate(&part.graph, &h);
+        gcn_normalize(&mut expect, &h, &part.global_degrees);
         assert!(out.approx_eq(&expect, 1e-4), "rank {p}");
     }
 }
