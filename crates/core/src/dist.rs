@@ -10,7 +10,7 @@
 //! isolated), so the distributed loss/accuracy sums count every vertex
 //! once and — for `cd-0` — match the single-socket quantities.
 
-use crate::drpa::RankAggregator;
+use crate::drpa::{layer0_is_constant, RankAggregator};
 use crate::model::{apply_flat_grads, GraphSage, SageConfig, SageWorkspace};
 use distgnn_comm::stats::CommSnapshot;
 use distgnn_comm::{
@@ -22,7 +22,7 @@ use distgnn_io::{
     list_checkpoints, load_cluster_state, save_cluster_manifest, save_train_state_mode,
     CheckpointMode, PendingWire, TrainState,
 };
-use distgnn_kernels::AggregationConfig;
+use distgnn_kernels::{cost, AggregationConfig};
 use distgnn_nn::{Adam, AdamConfig};
 use distgnn_partition::{
     libra_partition, reshard_partitioning, reshard_remove_part, PartId, PartitionedGraph,
@@ -867,6 +867,10 @@ pub fn build_metrics(
     let mut reg = MetricsRegistry::new(report.per_rank_comm.len());
     let dims = config.model.layer_dims();
     let epochs_run = report.epochs.len() as u64;
+    // A constant layer-0 aggregate is computed once, in the run's first
+    // epoch, instead of every epoch.
+    let reaggregate = !layer0_is_constant(config.mode, &config.codec);
+    let once = u64::from(!reaggregate && epochs_run > 0);
     for (r, snap) in report.per_rank_comm.iter().enumerate() {
         let rank = reg.rank_mut(r);
         rank.set(Metric::BytesSent, snap.bytes_sent);
@@ -890,11 +894,13 @@ pub fn build_metrics(
             let (n, m) = (report.partition_vertices[r], report.partition_edges[r]);
             rank.set(
                 Metric::KernelFlops,
-                epochs_run * distgnn_kernels::cost::sage_epoch_flops(n, m, &dims),
+                epochs_run * cost::sage_epoch_flops(n, m, &dims, reaggregate)
+                    + once * cost::aggregate_flops(m, dims[0].0),
             );
             rank.set(
                 Metric::KernelBytes,
-                epochs_run * distgnn_kernels::cost::sage_epoch_bytes(n, m, &dims),
+                epochs_run * cost::sage_epoch_bytes(n, m, &dims, reaggregate)
+                    + once * cost::aggregate_bytes(m, dims[0].0),
             );
         }
         if r < hub.num_ranks() {
@@ -1266,25 +1272,43 @@ mod tests {
     }
 
     /// Every cd-0 clone sync posts its two exchanges through the
-    /// progress engine: 2 phases × forward and backward × layers per
-    /// epoch, plus the forward syncs of the evaluation pass. The
-    /// gradient and loss AllReduces post no handles.
+    /// progress engine; the gradient and loss AllReduces post no
+    /// handles. Over E epochs of an L-layer model, with the identity
+    /// codec the syncs that run are: forward, all L layers in the first
+    /// epoch and layers ≥ 1 after (layer 0's aggregate is constant);
+    /// the evaluation pass, layers ≥ 1; backward, layers ≥ 1 (layer 0
+    /// has no input gradient). A lossy codec re-syncs layer 0 forward
+    /// every epoch, since its delta mirrors refine the aggregate.
     #[test]
     fn cd0_clone_syncs_record_handle_metrics() {
         let ds = tiny();
-        let c = cfg(&ds, DistMode::Cd0, 3, 3);
-        let hub = distgnn_telemetry::TelemetryHub::new(3, Default::default());
-        let r = DistTrainer::launch(&ds, None, &c, Some(&hub)).unwrap();
-        let reg = build_metrics(&c, &r, &hub);
-        let layers = c.model.layer_dims().len() as u64;
-        for rank in 0..3 {
-            let m = reg.rank(rank);
-            assert_eq!(m.get(Metric::HandleOpsPosted), 2 * 2 * layers * 3 + 2 * layers);
-            assert_eq!(
-                m.get(Metric::HandleOpsPosted),
-                m.get(Metric::HandleOpsCompleted),
-                "every posted handle must be waited"
-            );
+        let epochs = 3u64;
+        for codec in [WireCodec::None, WireCodec::Bf16] {
+            let c = DistConfig { codec, ..cfg(&ds, DistMode::Cd0, 3, epochs as usize) };
+            let hub = distgnn_telemetry::TelemetryHub::new(3, Default::default());
+            let r = DistTrainer::launch(&ds, None, &c, Some(&hub)).unwrap();
+            let reg = build_metrics(&c, &r, &hub);
+            let layers = c.model.layer_dims().len() as u64;
+            let forward = if codec.is_identity() {
+                layers + (epochs - 1) * (layers - 1)
+            } else {
+                epochs * layers
+            };
+            let eval = if codec.is_identity() { layers - 1 } else { layers };
+            let backward = epochs * (layers - 1);
+            for rank in 0..3 {
+                let m = reg.rank(rank);
+                assert_eq!(
+                    m.get(Metric::HandleOpsPosted),
+                    2 * (forward + eval + backward),
+                    "{codec:?}"
+                );
+                assert_eq!(
+                    m.get(Metric::HandleOpsPosted),
+                    m.get(Metric::HandleOpsCompleted),
+                    "every posted handle must be waited"
+                );
+            }
         }
     }
 

@@ -28,7 +28,7 @@
 //! single-socket training closely (Table 5).
 
 use crate::dist::DistMode;
-use crate::model::Aggregator;
+use crate::model::{next_aggregator_key, Aggregator};
 use distgnn_comm::{CommError, RankCtx, RetryPolicy, WireCodec};
 use distgnn_io::{DrpaState, RouteCacheState};
 use distgnn_kernels::gcn::gcn_normalize;
@@ -245,6 +245,24 @@ pub struct RankAggregator<'a, 'b> {
     lat: Duration,
     rat: Duration,
     backward_time: Duration,
+    /// This aggregator's [`Aggregator::layer0_reuse_key`], offered only
+    /// where [`layer0_is_constant`] holds.
+    key: u64,
+}
+
+/// Whether a rank's layer-0 aggregate under `mode` and `codec` is a
+/// function of (partition, features) alone, and so the same every
+/// epoch: `0c` syncs nothing, and an exact blocking sync (`cd-0`,
+/// `cd-r` with `r = 0`) over the identity codec delivers the same
+/// complete sums each time. A lossy codec's delta mirrors refine the
+/// aggregate epoch by epoch, and `cd-r` (`r > 0`) delays its remote
+/// partials, so both re-aggregate layer 0 every epoch.
+pub fn layer0_is_constant(mode: DistMode, codec: &WireCodec) -> bool {
+    match mode {
+        DistMode::Oc => true,
+        DistMode::Cd0 | DistMode::CdR { delay: 0 } => codec.is_identity(),
+        DistMode::CdR { .. } => false,
+    }
 }
 
 impl<'a, 'b> RankAggregator<'a, 'b> {
@@ -288,6 +306,7 @@ impl<'a, 'b> RankAggregator<'a, 'b> {
             lat: Duration::ZERO,
             rat: Duration::ZERO,
             backward_time: Duration::ZERO,
+            key: next_aggregator_key(),
         }
     }
 
@@ -500,11 +519,10 @@ impl Aggregator for RankAggregator<'_, '_> {
         // out = (a_sync + h) / (D + 1): scale incoming gradient once.
         let mut scaled = grad_out.clone();
         let d = scaled.cols();
-        let degrees = self.degrees().to_vec();
         scaled
             .as_mut_slice()
             .par_chunks_mut(d)
-            .zip(degrees.par_iter())
+            .zip(self.degrees().par_iter())
             .for_each(|(row, &deg)| {
                 let inv = 1.0 / (deg + 1.0);
                 row.iter_mut().for_each(|x| *x *= inv);
@@ -519,6 +537,11 @@ impl Aggregator for RankAggregator<'_, '_> {
         distgnn_tensor::ops::add_assign(&mut grad_in, &scaled);
         self.backward_time += t0.elapsed();
         grad_in
+    }
+
+    /// Withdrawn after a failed sync: its aggregate is incomplete.
+    fn layer0_reuse_key(&self) -> Option<u64> {
+        (layer0_is_constant(self.mode, &self.codec) && self.error.is_none()).then_some(self.key)
     }
 }
 

@@ -251,16 +251,16 @@ impl MiniBatchTrainer {
         // Backward.
         let mut grad_z = ce.grad_logits;
         let mut layer_grads = Vec::with_capacity(num_layers);
-        for l in (0..num_layers).rev() {
+        for l in (1..num_layers).rev() {
             let (a, num_src) = &agg_inputs[l];
             let lg = self.model_layers[l].backward(a, &grad_z);
             let grad_h = block_aggregate_backward(&blocks[l], &lg.grad_input, *num_src);
             ops_count += blocks[l].num_edges() as u64 * grad_h.cols() as u64;
             layer_grads.push(lg);
-            if l > 0 {
-                grad_z = ops::relu_backward(&grad_h, &pre_acts[l - 1]);
-            }
+            grad_z = ops::relu_backward(&grad_h, &pre_acts[l - 1]);
         }
+        // Layer 0's input is the sampled features, which nothing trains.
+        layer_grads.push(self.model_layers[0].backward_params(&agg_inputs[0].0, &grad_z));
         layer_grads.reverse();
 
         self.adam.begin_step();

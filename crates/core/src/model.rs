@@ -11,6 +11,7 @@
 
 use distgnn_nn::linear::{Linear, LinearGrads};
 use distgnn_tensor::{init, ops, Matrix};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Provides the GCN aggregate-and-normalize step and its gradient.
 ///
@@ -36,6 +37,22 @@ pub trait Aggregator {
     fn backward_into(&mut self, layer: usize, grad_out: &Matrix, out: &mut Matrix) {
         *out = self.backward(layer, grad_out);
     }
+
+    /// `Some(key)` while this aggregator's layer-0 output is a function
+    /// of (its graph, the input features) alone, so a [`SageWorkspace`]
+    /// may keep it across forward passes; `key` is unique to this
+    /// aggregator (see [`next_aggregator_key`]). The default, `None`,
+    /// has [`GraphSage::forward_into`] aggregate layer 0 every time.
+    fn layer0_reuse_key(&self) -> Option<u64> {
+        None
+    }
+}
+
+/// A process-unique key for [`Aggregator::layer0_reuse_key`], drawn
+/// once per aggregator at construction.
+pub fn next_aggregator_key() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Model shape.
@@ -101,9 +118,11 @@ pub struct LayerWorkspace {
     /// writes the logits gradient here before `backward_into` runs.
     pub grad_z: Matrix,
     /// Gradient w.r.t. the layer's input activations (after the
-    /// aggregation backward), `n x in_dim`.
+    /// aggregation backward), `n x in_dim`; 0×0 for layer 0, whose
+    /// input (the features) is not trained.
     pub grad_h: Matrix,
-    /// Reusable parameter/input gradients.
+    /// Reusable parameter/input gradients (`grad_input` is 0×0 for
+    /// layer 0, like `grad_h`).
     pub grads: LinearGrads,
     /// Scratch for the `Aᵀ·B` weight-gradient partials.
     pub at_b_scratch: Vec<f32>,
@@ -113,6 +132,18 @@ pub struct LayerWorkspace {
 #[derive(Clone, Debug)]
 pub struct SageWorkspace {
     pub layers: Vec<LayerWorkspace>,
+    /// What `layers[0].agg` was aggregated from, while it may be reused.
+    layer0: Option<Layer0Source>,
+}
+
+/// The (aggregator, features) pair a layer-0 aggregate belongs to: the
+/// aggregator's [`Aggregator::layer0_reuse_key`] and the feature
+/// matrix's address and shape.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Layer0Source {
+    aggregator: u64,
+    features: usize,
+    shape: (usize, usize),
 }
 
 impl SageWorkspace {
@@ -122,17 +153,25 @@ impl SageWorkspace {
         let layers = model
             .layers
             .iter()
-            .map(|layer| LayerWorkspace {
-                agg: Matrix::zeros(num_vertices, layer.in_dim()),
-                z: Matrix::zeros(num_vertices, layer.out_dim()),
-                act: Matrix::zeros(num_vertices, layer.out_dim()),
-                grad_z: Matrix::zeros(num_vertices, layer.out_dim()),
-                grad_h: Matrix::zeros(num_vertices, layer.in_dim()),
-                grads: LinearGrads::zeros_for(layer, num_vertices),
-                at_b_scratch: Vec::new(),
+            .enumerate()
+            .map(|(l, layer)| {
+                // Layer 0 never back-propagates into its input.
+                let (gr, gc) = if l == 0 { (0, 0) } else { (num_vertices, layer.in_dim()) };
+                LayerWorkspace {
+                    agg: Matrix::zeros(num_vertices, layer.in_dim()),
+                    z: Matrix::zeros(num_vertices, layer.out_dim()),
+                    act: Matrix::zeros(num_vertices, layer.out_dim()),
+                    grad_z: Matrix::zeros(num_vertices, layer.out_dim()),
+                    grad_h: Matrix::zeros(gr, gc),
+                    grads: LinearGrads {
+                        grad_input: Matrix::zeros(gr, gc),
+                        ..LinearGrads::zeros_for(layer, 0)
+                    },
+                    at_b_scratch: Vec::new(),
+                }
             })
             .collect();
-        SageWorkspace { layers }
+        SageWorkspace { layers, layer0: None }
     }
 
     /// The last forward pass's logits (the final layer's `z`).
@@ -205,6 +244,13 @@ impl GraphSage {
     /// [`SageWorkspace::logits`]. Steady-state allocation-free when the
     /// aggregator's `_into` methods are (the workspace is reused as the
     /// backward cache, replacing [`SageCache`]).
+    ///
+    /// Layer 0 aggregates `features`, which nothing trains. While `agg`
+    /// offers a [`Aggregator::layer0_reuse_key`] and `ws` holds the
+    /// aggregate of the same `features` matrix under that key, the
+    /// layer-0 aggregation (and its clone sync) is skipped. The matrix
+    /// is known by address and shape, so a caller that rewrites
+    /// `features` in place needs a new workspace.
     pub fn forward_into(
         &self,
         agg: &mut dyn Aggregator,
@@ -214,11 +260,26 @@ impl GraphSage {
         assert_eq!(features.rows(), agg.num_vertices(), "feature row count");
         let num_layers = self.layers.len();
         assert_eq!(ws.layers.len(), num_layers, "workspace layer count");
+        let source = |agg: &dyn Aggregator| {
+            agg.layer0_reuse_key().map(|aggregator| Layer0Source {
+                aggregator,
+                features: features.as_slice().as_ptr() as usize,
+                shape: features.shape(),
+            })
+        };
+        let wanted = source(agg);
+        if wanted.is_none() || wanted != ws.layer0 {
+            agg.forward_into(0, features, &mut ws.layers[0].agg);
+            // Asked again: a sync that failed inside the call withdraws
+            // the key, and its incomplete aggregate must not be kept.
+            ws.layer0 = wanted.filter(|_| source(agg) == wanted);
+        }
         for l in 0..num_layers {
             let (prev, rest) = ws.layers.split_at_mut(l);
             let lw = &mut rest[0];
-            let h: &Matrix = if l == 0 { features } else { &prev[l - 1].act };
-            agg.forward_into(l, h, &mut lw.agg);
+            if l > 0 {
+                agg.forward_into(l, &prev[l - 1].act, &mut lw.agg);
+            }
             self.layers[l].forward_into(&lw.agg, &mut lw.z);
             if l + 1 < num_layers {
                 ops::relu_into(&lw.z, &mut lw.act);
@@ -229,21 +290,23 @@ impl GraphSage {
     /// Full backward pass into `ws`'s gradient buffers. Expects the
     /// logits gradient in [`SageWorkspace::grad_logits_mut`] (written
     /// there by the loss); leaves each layer's parameter gradients in
-    /// `ws.layers[l].grads`.
+    /// `ws.layers[l].grads`. Layer 0 computes its parameter gradients
+    /// only: no input gradient and no aggregation backward, since the
+    /// features it would flow into are not trained.
     pub fn backward_into(&self, agg: &mut dyn Aggregator, ws: &mut SageWorkspace) {
         let num_layers = self.layers.len();
         assert_eq!(ws.layers.len(), num_layers, "workspace layer count");
-        for l in (0..num_layers).rev() {
+        for l in (1..num_layers).rev() {
             let (prev, rest) = ws.layers.split_at_mut(l);
             let LayerWorkspace { agg: agg_out, grad_z, grad_h, grads, at_b_scratch, .. } =
                 &mut rest[0];
             self.layers[l].backward_into(agg_out, grad_z, grads, at_b_scratch);
             agg.backward_into(l, &grads.grad_input, grad_h);
-            if l > 0 {
-                let pw = &mut prev[l - 1];
-                ops::relu_backward_into(grad_h, &pw.z, &mut pw.grad_z);
-            }
+            let pw = &mut prev[l - 1];
+            ops::relu_backward_into(grad_h, &pw.z, &mut pw.grad_z);
         }
+        let LayerWorkspace { agg: agg_out, grad_z, grads, at_b_scratch, .. } = &mut ws.layers[0];
+        self.layers[0].backward_params_into(agg_out, grad_z, grads, at_b_scratch);
     }
 
     /// Full backward pass; returns per-layer gradients (same order as

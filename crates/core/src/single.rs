@@ -1,6 +1,8 @@
 //! Single-socket (shared-memory) full-batch trainer — §4 / Fig. 2.
 
-use crate::model::{apply_flat_grads, Aggregator, GraphSage, SageConfig, SageWorkspace};
+use crate::model::{
+    apply_flat_grads, next_aggregator_key, Aggregator, GraphSage, SageConfig, SageWorkspace,
+};
 use distgnn_graph::{Csr, Dataset};
 use distgnn_kernels::gcn::{gcn_aggregate_backward_prepared_into, gcn_aggregate_prepared_into};
 use distgnn_kernels::{AggregationConfig, PreparedAggregation};
@@ -20,9 +22,12 @@ pub struct SingleSocketAggregator {
     degrees: Vec<f32>,
     agg_time: Duration,
     /// Per-layer scaled-gradient scratch for the backward `_into` path,
-    /// sized lazily on first use and reused afterwards.
+    /// sized lazily on first use and reused afterwards (layer 0's stays
+    /// 0×0: training never runs its backward).
     bwd_scratch: Vec<Matrix>,
     recorder: Arc<Recorder>,
+    /// This aggregator's [`Aggregator::layer0_reuse_key`].
+    key: u64,
 }
 
 impl SingleSocketAggregator {
@@ -34,6 +39,7 @@ impl SingleSocketAggregator {
             agg_time: Duration::ZERO,
             bwd_scratch: Vec::new(),
             recorder: Arc::new(Recorder::disabled()),
+            key: next_aggregator_key(),
         }
     }
 
@@ -85,6 +91,12 @@ impl Aggregator for SingleSocketAggregator {
         }
         gcn_aggregate_backward_prepared_into(&self.prep_t, grad_out, &self.degrees, scaled, out);
         self.agg_time += t0.elapsed();
+    }
+
+    /// The graph is fixed, so layer 0's aggregate of a given feature
+    /// matrix never changes.
+    fn layer0_reuse_key(&self) -> Option<u64> {
+        Some(self.key)
     }
 }
 

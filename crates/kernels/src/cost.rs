@@ -39,27 +39,52 @@ pub fn dense_bytes(rows: usize, in_dim: usize, out_dim: usize) -> u64 {
     (r * i + i * o + o + r * o) * 4
 }
 
-/// Flops for one full GraphSAGE epoch on one rank: per layer, one
-/// aggregation plus one dense transform, forward and backward.
-/// Backward replays the same GEMM shapes twice (grad-input and
-/// grad-weight) and the aggregation once on the transpose, so the
-/// total is 3x the dense forward and 2x the aggregate forward.
-pub fn sage_epoch_flops(num_vertices: usize, num_edges: usize, layer_dims: &[(usize, usize)]) -> u64 {
+/// `(aggregation passes, dense products)` layer `l` of a GraphSAGE
+/// model runs per training epoch. A layer above the first aggregates
+/// forward and, on the transpose, backward, and runs its GEMM shape
+/// three times (forward, grad-weight, grad-input). Layer 0 computes no
+/// input gradient, so no backward aggregation and no grad-input GEMM,
+/// and aggregates forward only where it is re-aggregated every epoch
+/// (`reaggregate_layer0`); elsewhere its aggregate is computed once.
+fn sage_layer_passes(l: usize, reaggregate_layer0: bool) -> (u64, u64) {
+    if l > 0 {
+        (2, 3)
+    } else {
+        (u64::from(reaggregate_layer0), 2)
+    }
+}
+
+/// Flops for one full GraphSAGE training epoch on one rank, counting
+/// the passes [`sage_layer_passes`] lists (the dense backward GEMMs
+/// share the forward's shape, so each costs one dense forward).
+pub fn sage_epoch_flops(
+    num_vertices: usize,
+    num_edges: usize,
+    layer_dims: &[(usize, usize)],
+    reaggregate_layer0: bool,
+) -> u64 {
     let mut total = 0u64;
-    for &(ind, outd) in layer_dims {
-        total += 2 * aggregate_flops(num_edges, ind);
-        total += 3 * dense_flops(num_vertices, ind, outd);
+    for (l, &(ind, outd)) in layer_dims.iter().enumerate() {
+        let (aps, dense) = sage_layer_passes(l, reaggregate_layer0);
+        total += aps * aggregate_flops(num_edges, ind);
+        total += dense * dense_flops(num_vertices, ind, outd);
     }
     total
 }
 
-/// Byte-movement lower bound for one full GraphSAGE epoch on one rank,
-/// mirroring [`sage_epoch_flops`].
-pub fn sage_epoch_bytes(num_vertices: usize, num_edges: usize, layer_dims: &[(usize, usize)]) -> u64 {
+/// Byte-movement lower bound for one full GraphSAGE training epoch on
+/// one rank, mirroring [`sage_epoch_flops`].
+pub fn sage_epoch_bytes(
+    num_vertices: usize,
+    num_edges: usize,
+    layer_dims: &[(usize, usize)],
+    reaggregate_layer0: bool,
+) -> u64 {
     let mut total = 0u64;
-    for &(ind, outd) in layer_dims {
-        total += 2 * aggregate_bytes(num_edges, ind);
-        total += 3 * dense_bytes(num_vertices, ind, outd);
+    for (l, &(ind, outd)) in layer_dims.iter().enumerate() {
+        let (aps, dense) = sage_layer_passes(l, reaggregate_layer0);
+        total += aps * aggregate_bytes(num_edges, ind);
+        total += dense * dense_bytes(num_vertices, ind, outd);
     }
     total
 }
@@ -84,12 +109,23 @@ mod tests {
 
     #[test]
     fn epoch_totals_sum_layers() {
-        let dims = [(4, 2), (2, 3)];
-        let per_layer: u64 = dims
+        let dims = [(4, 2), (2, 3), (3, 5)];
+        // Layers above the first: 2 APs and 3 dense products each.
+        let upper: u64 = dims[1..]
             .iter()
             .map(|&(i, o)| 2 * aggregate_flops(6, i) + 3 * dense_flops(5, i, o))
             .sum();
-        assert_eq!(sage_epoch_flops(5, 6, &dims), per_layer);
-        assert!(sage_epoch_bytes(5, 6, &dims) > 0);
+        // Layer 0: forward and grad-weight products, no backward AP.
+        let first = 2 * dense_flops(5, 4, 2);
+        assert_eq!(sage_epoch_flops(5, 6, &dims, false), upper + first);
+        assert_eq!(sage_epoch_flops(5, 6, &dims, true), upper + first + aggregate_flops(6, 4));
+
+        let upper: u64 = dims[1..]
+            .iter()
+            .map(|&(i, o)| 2 * aggregate_bytes(6, i) + 3 * dense_bytes(5, i, o))
+            .sum();
+        let first = 2 * dense_bytes(5, 4, 2);
+        assert_eq!(sage_epoch_bytes(5, 6, &dims, false), upper + first);
+        assert_eq!(sage_epoch_bytes(5, 6, &dims, true), upper + first + aggregate_bytes(6, 4));
     }
 }

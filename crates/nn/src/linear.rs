@@ -87,6 +87,17 @@ impl Linear {
         grads
     }
 
+    /// [`Self::backward`] without the input gradient: the returned
+    /// `grad_input` is 0×0 (see [`Self::backward_params_into`]).
+    pub fn backward_params(&self, input: &Matrix, grad_output: &Matrix) -> LinearGrads {
+        let mut grads = LinearGrads {
+            grad_input: Matrix::zeros(0, 0),
+            ..LinearGrads::zeros_for(self, 0)
+        };
+        self.backward_params_into(input, grad_output, &mut grads, &mut Vec::new());
+        grads
+    }
+
     /// [`Self::backward`] into caller-owned gradient buffers (see
     /// [`LinearGrads::zeros_for`]). `scratch` holds the weight-gradient
     /// partials and is grown on first use; with a retained `grads` +
@@ -98,9 +109,23 @@ impl Linear {
         grads: &mut LinearGrads,
         scratch: &mut Vec<f32>,
     ) {
+        self.backward_params_into(input, grad_output, grads, scratch);
+        matmul_a_bt_into(grad_output, &self.weight, &mut grads.grad_input);
+    }
+
+    /// The parameter half of [`Self::backward_into`]: writes
+    /// `grads.grad_weight` and `grads.grad_bias` bit for bit as it does,
+    /// and leaves `grads.grad_input` untouched (it may be 0×0). For a
+    /// layer whose input is not trainable, such as the first GNN layer.
+    pub fn backward_params_into(
+        &self,
+        input: &Matrix,
+        grad_output: &Matrix,
+        grads: &mut LinearGrads,
+        scratch: &mut Vec<f32>,
+    ) {
         assert_eq!(grad_output.cols(), self.out_dim(), "grad_output width");
         assert_eq!(input.rows(), grad_output.rows(), "row count mismatch");
-        matmul_a_bt_into(grad_output, &self.weight, &mut grads.grad_input);
         matmul_at_b_into(input, grad_output, &mut grads.grad_weight, scratch);
         ops::column_sums_into(grad_output, &mut grads.grad_bias);
     }
@@ -173,6 +198,18 @@ mod tests {
         let x = Matrix::zeros(3, 2);
         let grads = l.backward(&x, &g);
         assert_eq!(grads.grad_bias, vec![9.0, 12.0]);
+    }
+
+    #[test]
+    fn params_only_backward_matches_full_backward_bitwise() {
+        let l = Linear::new(3, 4, &mut rng(6));
+        let x = Matrix::from_fn(7, 3, |r, c| (r as f32 * 0.7 - c as f32) * 0.3);
+        let g = Matrix::from_fn(7, 4, |r, c| ((r * 5 + c) % 7) as f32 * 0.2 - 0.5);
+        let full = l.backward(&x, &g);
+        let grads = l.backward_params(&x, &g);
+        assert_eq!(grads.grad_weight, full.grad_weight);
+        assert_eq!(grads.grad_bias, full.grad_bias);
+        assert_eq!(grads.grad_input.shape(), (0, 0), "grad_input is not written");
     }
 
     #[test]
